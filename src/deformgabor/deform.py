@@ -174,9 +174,9 @@ def sample_backward(cache: _SampleCache, grad_samples: np.ndarray):
 
     dvdy = (1 - c.fx) * (c.v10 - c.v00) + c.fx * (c.v11 - c.v01)
     dvdx = (1 - c.fy) * (c.v01 - c.v00) + c.fy * (c.v11 - c.v10)
-    g_dy = np.einsum("cnhw,cnhw->nhw", grad_samples, dvdy, optimize=True)
-    g_dx = np.einsum("cnhw,cnhw->nhw", grad_samples, dvdx, optimize=True)
-    grad_offsets = np.concatenate([g_dy, g_dx], axis=0)
+    # one offset field serves every plane: reduce over the plane axis
+    grad_offsets = np.concatenate([(grad_samples * dvdy).sum(axis=0),
+                                   (grad_samples * dvdx).sum(axis=0)], axis=0)
 
     grad_input_flat = np.zeros(cin * hi * wi)
     chan = (np.arange(cin) * (hi * wi))[:, None]

@@ -8,10 +8,18 @@ stages:
   1. deformable stage: the input's U orientation slices are flattened
      into N*U channels, offsets are predicted from them, and each of the
      V mask-modulated filter sets produces one intermediate map per
-     output channel;
+     output channel. A layer entering the oriented part of a stack takes
+     a shared 3-D [N, Hi, Wi] map that every orientation reads: as all U
+     slices would be identical, the filters and the offset predictor's
+     weights are summed over u and only the N planes are gathered, which
+     equals running on U copies up to roundoff;
   2. Gabor stage: the V intermediate maps are combined by a plain
      "same"-padded convolution with the mask-modulated orientation
      filters, restoring U orientation slices.
+
+Both stages run as im2col contractions: each is a reshape of the
+sampled taps or the padded windows into a column matrix and one matrix
+product with the flattened weights.
 
 Backward supports two modes. `exact` is the true gradient of the
 composed map (the masks receive contributions through both stages, and
@@ -35,7 +43,7 @@ import numpy as np
 from .deform import (OffsetPredictor, predict_offsets, sample_backward,
                      sample_grid, sample_values, zero_predictor)
 from .gabor import GaborBank
-from .tensor import as_tensor, conv2d_backward
+from .tensor import _windows, as_tensor, conv2d_backward
 
 __all__ = [
     "LayerShape",
@@ -157,70 +165,94 @@ class DGConvCache:
     params: DGConvParams
     stride: int
     pad: int
-    in_shape: tuple
-    flat: np.ndarray          # [N*U, Hi, Wi] orientation-flattened input
+    in_shape: tuple           # [U, N, Hi, Wi], or [N, Hi, Wi] for a shared input
+    flat: np.ndarray          # [C, Hi, Wi] planes stage 1 reads: C = U*N, or N if shared
     offsets: np.ndarray       # [2*H*H, Ho, Wo]
     samples: object           # bilinear corner cache
-    v: np.ndarray             # sampled taps [N*U, H*H, Ho, Wo]
-    c_flat: np.ndarray        # filters as [M, N*U, H*H] (tap-flattened, u-major channels)
+    v: np.ndarray             # sampled taps [C, H*H, Ho, Wo]
     e_pad: np.ndarray         # padded intermediate maps [V, M, Ho+H-1, Wo+H-1]
     out_grid: tuple
 
 
-def _flatten_filters(C: np.ndarray) -> np.ndarray:
-    """[M, N, U, H, H] -> [M, U*N, H*H], matching the [U, N] -> U*N input flattening."""
-    m, n, u, h, _ = C.shape
-    return np.ascontiguousarray(C.transpose(0, 2, 1, 3, 4)).reshape(m, u * n, h * h)
+def _stage1_weights(p: DGConvParams, shared: bool):
+    """Filters [M, C, H*H] and offset weights [2*H*H, C, H, H] over stage 1's C planes.
+
+    Unshared, C = U*N in u-major order, matching the [U, N] -> U*N input
+    flattening. Shared, C = N: every orientation reads the same plane, so
+    the U per-orientation weights of a plane add up.
+    """
+    m, n, u, h, _ = p.conv_filters.shape
+    w_off = p.offset_pred.weight
+    if shared:
+        return (p.conv_filters.sum(axis=2).reshape(m, n, h * h),
+                w_off.reshape(w_off.shape[0], u, n, h, h).sum(axis=1))
+    c_flat = np.ascontiguousarray(p.conv_filters.transpose(0, 2, 1, 3, 4)).reshape(m, u * n, h * h)
+    return c_flat, w_off
 
 
-def _unflatten_filters(c_flat: np.ndarray, n: int, u: int, h: int) -> np.ndarray:
-    m = c_flat.shape[0]
-    return np.ascontiguousarray(c_flat.reshape(m, u, n, h, h).transpose(0, 2, 1, 3, 4))
+def _gabor_columns(e_pad: np.ndarray, h: int, out_grid: tuple) -> np.ndarray:
+    """im2col of the padded intermediate maps: [V*H*H, M*Ho*Wo]."""
+    v_cnt, m = e_pad.shape[:2]
+    win = _windows(e_pad, h, h, *out_grid).transpose(0, 2, 3, 1, 4, 5)  # [V, H, H, M, Ho, Wo]
+    return win.reshape(v_cnt * h * h, m * out_grid[0] * out_grid[1])
 
 
 def dgconv_forward(x: np.ndarray, p: DGConvParams, stride: int = 1, pad: int = 0):
     """Run the two-stage layer on an oriented feature map.
 
-    x: [U, N, Hi, Wi]. Returns (y, cache) with y: [U, M, Ho, Wo]; the Gabor
-    stage uses "same" zero padding so y keeps the deformable stage's grid.
+    x: [U, N, Hi, Wi], or a shared [N, Hi, Wi] map that all U orientations
+    read. Returns (y, cache) with y: [U, M, Ho, Wo]; the Gabor stage uses
+    "same" zero padding so y keeps the deformable stage's grid.
     """
     x = as_tensor(x)
-    u, n, hi, wi = x.shape
-    m, n_p, u_p, h, _ = p.conv_filters.shape
-    if (u, n) != (u_p, n_p):
-        raise ValueError(f"input [U={u}, N={n}] does not match filters [U={u_p}, N={n_p}]")
+    m, n_p, u, h, _ = p.conv_filters.shape
+    shared = x.ndim == 3
+    if shared:
+        n, hi, wi = x.shape
+    elif x.ndim == 4:
+        u_x, n, hi, wi = x.shape
+        if u_x != u:
+            raise ValueError(f"input [U={u_x}, N={n}] does not match filters [U={u}, N={n_p}]")
+    else:
+        raise ValueError(f"input must be [U, N, Hi, Wi] or [N, Hi, Wi], got shape {x.shape}")
+    if n != n_p:
+        raise ValueError(f"input has N={n} channels but filters expect N={n_p}")
     if p.gabor.U != u or p.gabor.H != h:
         raise ValueError("orientation bank does not match the layer")
     v_cnt = p.masks.shape[0]
 
-    flat = x.reshape(u * n, hi, wi)
-    offsets = predict_offsets(flat, p.offset_pred, stride=stride, pad=pad)
+    flat = x if shared else x.reshape(u * n, hi, wi)
+    c_flat, w_off = _stage1_weights(p, shared)
+    offsets = predict_offsets(flat, OffsetPredictor(w_off, p.offset_pred.bias),
+                              stride=stride, pad=pad)
     samples = sample_grid(flat, offsets, h, stride=stride, pad=pad)
-    vals = sample_values(samples)  # [N*U, H*H, Ho, Wo]
+    vals = sample_values(samples)  # [C, H*H, Ho, Wo]
+    ho, wo = vals.shape[2], vals.shape[3]
 
-    c_flat = _flatten_filters(p.conv_filters)
+    # deformable stage, all V mask variants at once: [V*M, C*H*H] @ [C*H*H, Ho*Wo]
     s_flat = p.masks.reshape(v_cnt, h * h)
-    # deformable stage, all V mask variants at once
-    e = np.einsum("vk,mck,ckhw->vmhw", s_flat, c_flat, vals, optimize=True)
+    w_mod = (s_flat[:, None, None, :] * c_flat[None]).reshape(v_cnt * m, -1)
+    e = (w_mod @ vals.reshape(w_mod.shape[1], ho * wo)).reshape(v_cnt, m, ho, wo)
 
-    ho, wo = e.shape[2], e.shape[3]
+    # Gabor stage: [U, V*H*H] @ [V*H*H, M*Ho*Wo]
     p2 = (h - 1) // 2
     e_pad = np.zeros((v_cnt, m, ho + 2 * p2, wo + 2 * p2))
     e_pad[:, :, p2:p2 + ho, p2:p2 + wo] = e
-    win = np.lib.stride_tricks.sliding_window_view(e_pad, (h, h), axis=(2, 3))
-    ghat = modulate_gabor(p.gabor, p.masks)
-    y = np.einsum("vmhwkl,vukl->umhw", win, ghat, optimize=True)
+    ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3).reshape(u, v_cnt * h * h)
+    y = (ghat @ _gabor_columns(e_pad, h, (ho, wo))).reshape(u, m, ho, wo)
 
     cache = DGConvCache(params=p, stride=stride, pad=pad, in_shape=x.shape,
                         flat=flat, offsets=offsets, samples=samples, v=vals,
-                        c_flat=c_flat, e_pad=e_pad, out_grid=(ho, wo))
+                        e_pad=e_pad, out_grid=(ho, wo))
     return y, cache
 
 
 def dgconv_backward(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact") -> dict:
     """Gradients of the layer given upstream grad_y: [U, M, Ho, Wo].
 
-    Returns {'conv_filters', 'masks', 'offset_weight', 'offset_bias', 'input'}.
+    Returns {'conv_filters', 'masks', 'offset_weight', 'offset_bias', 'input'};
+    'input' has the forward input's shape, so a shared [N, Hi, Wi] input
+    gets the sum of the U orientation slices' gradients.
     mode='exact' gives true gradients; mode='paper' swaps the mask and
     filter gradients for the approximate update directions (see module
     docstring) while keeping offsets and input exact.
@@ -228,51 +260,61 @@ def dgconv_backward(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact")
     if mode not in ("exact", "paper"):
         raise ValueError(f"unknown backward mode {mode!r}")
     p = cache.params
-    u, n, hi, wi = cache.in_shape
-    h = p.gabor.H
+    m, n, u, h, _ = p.conv_filters.shape
     v_cnt = p.masks.shape[0]
     ho, wo = cache.out_grid
     grad_y = as_tensor(grad_y)
-    if grad_y.shape != (u, p.conv_filters.shape[0], ho, wo):
+    if grad_y.shape != (u, m, ho, wo):
         raise ValueError(f"grad_y shape {grad_y.shape} does not match cached forward")
+    shared = len(cache.in_shape) == 3
+    c_flat, w_off = _stage1_weights(p, shared)
+    cin = c_flat.shape[1]
 
     g = p.gabor.filters
     s_flat = p.masks.reshape(v_cnt, h * h)
-    ghat = modulate_gabor(p.gabor, p.masks)
+    ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3).reshape(u, v_cnt * h * h)
     p2 = (h - 1) // 2
 
-    # Gabor stage
-    win = np.lib.stride_tricks.sliding_window_view(cache.e_pad, (h, h), axis=(2, 3))
-    grad_ghat = np.einsum("umhw,vmhwkl->vukl", grad_y, win, optimize=True)
+    # Gabor stage: weight gradient from the columns, col2im for the maps
+    gy2 = grad_y.reshape(u, m * ho * wo)
+    grad_ghat = (gy2 @ _gabor_columns(cache.e_pad, h, (ho, wo)).T).reshape(u, v_cnt, h, h)
+    grad_ghat = grad_ghat.transpose(1, 0, 2, 3)  # [V, U, H, H]
+    gcols = (ghat.T @ gy2).reshape(v_cnt, h, h, m, ho, wo)
     grad_e_pad = np.zeros_like(cache.e_pad)
     for k in range(h):
         for l in range(h):
-            grad_e_pad[:, :, k:k + ho, l:l + wo] += np.einsum(
-                "vu,umhw->vmhw", ghat[:, :, k, l], grad_y, optimize=True)
-    grad_e = grad_e_pad[:, :, p2:p2 + ho, p2:p2 + wo]
+            grad_e_pad[:, :, k:k + ho, l:l + wo] += gcols[:, k, l]
+    grad_e = grad_e_pad[:, :, p2:p2 + ho, p2:p2 + wo].reshape(v_cnt * m, ho * wo)
 
     # deformable stage
-    grad_wfull = np.einsum("vmhw,ckhw->vmck", grad_e, cache.v, optimize=True)
-    grad_samples = np.einsum("vmhw,mck,vk->ckhw", grad_e, cache.c_flat, s_flat, optimize=True)
+    vals = cache.v.reshape(cin * h * h, ho * wo)
+    grad_wfull = (grad_e @ vals.T).reshape(v_cnt, m, cin, h * h)
+    w_mod = (s_flat[:, None, None, :] * c_flat[None]).reshape(v_cnt * m, -1)
+    grad_samples = (w_mod.T @ grad_e).reshape(cin, h * h, ho, wo)
     grad_flat, grad_offsets = sample_backward(cache.samples, grad_samples)
 
     # offset branch: predictor parameters plus its contribution to the input
     grad_flat_off, grad_pred_w = conv2d_backward(
-        grad_offsets, cache.flat, p.offset_pred.weight, stride=cache.stride, pad=cache.pad)
+        grad_offsets, cache.flat, w_off, stride=cache.stride, pad=cache.pad)
     grad_pred_b = grad_offsets.sum(axis=(1, 2))
-    grad_input = (grad_flat + grad_flat_off).reshape(u, n, hi, wi)
+    grad_input = (grad_flat + grad_flat_off).reshape(cache.in_shape)
 
     if mode == "exact":
-        grad_c_flat = np.einsum("vmck,vk->mck", grad_wfull, s_flat, optimize=True)
-        grad_s = (np.einsum("vukl,ukl->vkl", grad_ghat, g, optimize=True)
-                  + np.einsum("vmck,mck->vk", grad_wfull, cache.c_flat,
-                              optimize=True).reshape(v_cnt, h, h))
+        grad_c_flat = (grad_wfull * s_flat[:, None, None, :]).sum(axis=0)
+        grad_s = ((grad_ghat * g[None]).sum(axis=1)
+                  + (grad_wfull * c_flat[None]).sum(axis=(1, 2)).reshape(v_cnt, h, h))
     else:
         grad_c_flat = grad_wfull.sum(axis=0) * s_flat.sum(axis=0)[None, None, :]
         grad_s = grad_ghat.sum(axis=1) * g.sum(axis=0)[None]
 
+    if shared:  # every orientation's copy of a weight gets the shared plane's gradient
+        grad_c = np.repeat(grad_c_flat.reshape(m, n, 1, h, h), u, axis=2)
+        grad_pred_w = np.tile(grad_pred_w, (1, u, 1, 1))
+    else:
+        grad_c = np.ascontiguousarray(
+            grad_c_flat.reshape(m, u, n, h, h).transpose(0, 2, 1, 3, 4))
     return {
-        "conv_filters": _unflatten_filters(grad_c_flat, n, u, h),
+        "conv_filters": grad_c,
         "masks": grad_s,
         "offset_weight": grad_pred_w,
         "offset_bias": grad_pred_b,

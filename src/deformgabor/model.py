@@ -157,15 +157,13 @@ class Model:
                 caches.append(("plain", i, x, pre, act.shape))
                 x = out
             else:
-                if x.ndim == 3:  # entering the oriented part of the stack
-                    x = dg.expand_orientation(x, cfg.U)
-                    entered = True
-                else:
-                    entered = False
+                # A block entering the oriented part of the stack gets the plain
+                # [N, h, w] map, which all U orientations read; the layer returns
+                # [U, M, h, w] either way and its input gradient has x's shape.
                 pre, cache = dg.dgconv_forward(x, self.dg_params[i], stride=1, pad=pad)
                 act = _relu(pre)
                 out = _avgpool2(act)
-                caches.append(("gabor", i, cache, pre, act.shape, entered))
+                caches.append(("gabor", i, cache, pre, act.shape))
                 x = out
         if x.ndim == 4:  # [U, M, h, w] -> [U*M, h, w]
             feat = x.reshape(-1, x.shape[2], x.shape[3])
@@ -190,7 +188,7 @@ class Model:
                 g, gw = conv2d_backward(g, x_in, self.params[f"block{i}.weight"], stride=1, pad=pad)
                 grads[f"block{i}.weight"] = gw
             else:
-                _, i, dg_cache, pre, act_shape, entered = entry
+                _, i, dg_cache, pre, act_shape = entry
                 if g.ndim == 3:  # arrived flattened from the head
                     g = g.reshape(self.cfg.U, -1, g.shape[1], g.shape[2])
                 g = _avgpool2_backward(g, act_shape)
@@ -201,8 +199,6 @@ class Model:
                 grads[f"block{i}.offset_weight"] = block_grads["offset_weight"]
                 grads[f"block{i}.offset_bias"] = block_grads["offset_bias"]
                 g = block_grads["input"]
-                if entered:
-                    g = g.sum(axis=0)  # undo orientation duplication
         return grads
 
 

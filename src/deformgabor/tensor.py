@@ -6,8 +6,11 @@ Arrays are treated as immutable values once constructed; only optimizer
 steps mutate parameters, and they do so explicitly.
 
 `conv2d_naive` is the slow, loop-ordered reference used as an oracle by
-the deformable and Gabor paths. `conv2d` is the im2col fast path the
-layers actually run.
+the deformable and Gabor paths. `conv2d` is the fast path the layers
+actually run: im2col, i.e. the sliding windows copied into a
+[Cin*kh*kw, Ho*Wo] column matrix, then one matrix product with the
+weights flattened to [Cout, Cin*kh*kw]. Its backward is two more
+products with the same columns and a tap-by-tap scatter.
 """
 
 from __future__ import annotations
@@ -92,48 +95,60 @@ def conv2d_naive(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) ->
     return out
 
 
-def _patches(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Zero-pad and expose sliding windows: returns (padded, view[Cin,Ho,Wo,kh,kw])."""
+def _windows(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int = 1) -> np.ndarray:
+    """Read-only view [..., kh, kw, Ho, Wo] of the windows over xp's last two axes.
+
+    xp is already padded; window (i, j) starts at (i*stride, j*stride).
+    """
+    sy, sx = xp.strides[-2:]
+    return np.lib.stride_tricks.as_strided(
+        xp, xp.shape[:-2] + (kh, kw, ho, wo),
+        xp.strides[:-2] + (sy, sx, sy * stride, sx * stride), writeable=False)
+
+
+def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """im2col: zero-pad and copy the sliding windows into [Cin*kh*kw, Ho*Wo]."""
     cin, hi, wi = x.shape
     ho = _out_size(hi, kh, stride, pad)
     wo = _out_size(wi, kw, stride, pad)
     xp = np.zeros((cin, hi + 2 * pad, wi + 2 * pad))
     xp[:, pad:pad + hi, pad:pad + wi] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return xp, win[:, ::stride, ::stride], (ho, wo)
+    return _windows(xp, kh, kw, ho, wo, stride).reshape(cin * kh * kw, ho * wo), (ho, wo)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Fast cross-correlation via sliding windows + einsum. Same contract as conv2d_naive."""
+    """Fast cross-correlation via im2col + one matmul. Same contract as conv2d_naive."""
     x = as_tensor(x)
     w = as_tensor(w)
     if x.shape[0] != w.shape[1]:
         raise ValueError(f"input has {x.shape[0]} channels but weight expects {w.shape[1]}")
-    _, win, _ = _patches(x, w.shape[2], w.shape[3], stride, pad)
-    return np.einsum("chwkl,ockl->ohw", win, w, optimize=True)
+    cols, (ho, wo) = _columns(x, w.shape[2], w.shape[3], stride, pad)
+    return (w.reshape(w.shape[0], -1) @ cols).reshape(w.shape[0], ho, wo)
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int = 1, pad: int = 0):
     """Gradients of conv2d: returns (grad_x, grad_w).
 
-    grad_w gathers from the same sliding windows as the forward pass;
-    grad_x scatters tap by tap into the padded frame and crops.
+    grad_w multiplies the upstream gradient by the forward's columns;
+    grad_x maps it back to columns (col2im) and scatters them tap by tap
+    into the padded frame, then crops.
     """
     grad_out = as_tensor(grad_out)
     x = as_tensor(x)
     w = as_tensor(w)
     cout, cin, kh, kw = w.shape
-    _, win, (ho, wo) = _patches(x, kh, kw, stride, pad)
-    grad_w = np.einsum("ohw,chwkl->ockl", grad_out, win, optimize=True)
+    cols, (ho, wo) = _columns(x, kh, kw, stride, pad)
+    g2 = grad_out.reshape(cout, ho * wo)
+    grad_w = (g2 @ cols.T).reshape(w.shape)
 
     hi, wi = x.shape[1], x.shape[2]
     gxp = np.zeros((cin, hi + 2 * pad, wi + 2 * pad))
     # tap contribution: grad wrt the window pixel (k,l) of every output position
-    gwin = np.einsum("ohw,ockl->chwkl", grad_out, w, optimize=True)
+    gcols = (w.reshape(cout, -1).T @ g2).reshape(cin, kh, kw, ho, wo)
     for k in range(kh):
         for l in range(kw):
-            gxp[:, k:k + stride * ho:stride, l:l + stride * wo:stride] += gwin[:, :, :, k, l]
+            gxp[:, k:k + stride * ho:stride, l:l + stride * wo:stride] += gcols[:, k, l]
     grad_x = gxp[:, pad:pad + hi, pad:pad + wi].copy()
     return grad_x, grad_w
 

@@ -251,6 +251,58 @@ class TestBackward:
                                    grad_dhat * p.masks[0], rtol=1e-5, atol=1e-8)
 
 
+class TestSharedInput:
+    """A 3-D input is one map all U orientations read: the layer folds it, not copies it."""
+
+    def layer_and_input(self, seed):
+        rng = np.random.default_rng(seed)
+        p = small_layer(rng, U=3, V=2, N=2, M=2, H=3)  # non-zero offsets, masks off one
+        x = rng.standard_normal((2, 6, 6))
+        return rng, p, x
+
+    def test_forward_matches_expanded_input(self):
+        _, p, x = self.layer_and_input(30)
+        y3, c3 = dgconv_forward(x, p, stride=1, pad=1)
+        y4, c4 = dgconv_forward(expand_orientation(x, 3), p, stride=1, pad=1)
+        assert np.abs(c3.offsets).min() > 0
+        np.testing.assert_allclose(y3, y4, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c3.offsets, c4.offsets, rtol=0, atol=1e-12)
+        assert c3.v.shape[0] == 2 and c4.v.shape[0] == 6  # N planes gathered, not N*U
+
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_backward_matches_expanded_input(self, mode):
+        rng, p, x = self.layer_and_input(31)
+        y3, c3 = dgconv_forward(x, p, stride=1, pad=1)
+        _, c4 = dgconv_forward(expand_orientation(x, 3), p, stride=1, pad=1)
+        gy = rng.standard_normal(y3.shape)
+        g3 = dgconv_backward(gy, c3, mode=mode)
+        g4 = dgconv_backward(gy, c4, mode=mode)
+        for name in ("conv_filters", "masks", "offset_weight", "offset_bias"):
+            assert g3[name].shape == g4[name].shape, name
+            np.testing.assert_allclose(g3[name], g4[name], rtol=0, atol=1e-12, err_msg=name)
+        assert g3["input"].shape == x.shape
+        np.testing.assert_allclose(g3["input"], g4["input"].sum(axis=0), rtol=0, atol=1e-12)
+
+    def test_exact_input_gradient_finite_differences(self):
+        rng, p, x = self.layer_and_input(32)
+        gy = rng.standard_normal((3, 2, 6, 6))
+
+        def loss():
+            return float(np.sum(dgconv_forward(x, p, stride=1, pad=1)[0] * gy))
+
+        _, cache = dgconv_forward(x, p, stride=1, pad=1)
+        grads = dgconv_backward(gy, cache, mode="exact")
+        assert rel_err(grads["input"], fd_grad(loss, x)) < 1e-5
+        assert rel_err(grads["offset_weight"], fd_grad(loss, p.offset_pred.weight)) < 1e-5
+
+    def test_shape_validation(self):
+        _, p, _ = self.layer_and_input(33)
+        with pytest.raises(ValueError):
+            dgconv_forward(np.zeros((3, 6, 6)), p, stride=1, pad=1)  # N=3, layer has N=2
+        with pytest.raises(ValueError):
+            dgconv_forward(np.zeros((6, 6)), p, stride=1, pad=1)
+
+
 class TestParamCount:
     def test_documented_breakdowns(self):
         a = param_count(LayerShape(U=4, V=4, H=3, N=8, M=8, N0=8, M0=8))

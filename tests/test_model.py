@@ -64,6 +64,40 @@ class TestForwardShapes:
             model.forward(np.zeros((1, 9, 9)))
 
 
+def _einsum_module():
+    try:
+        from numpy._core import einsumfunc
+    except ImportError:  # numpy 1.x
+        from numpy.core import einsumfunc
+    return einsumfunc
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["gabor", "matched_plain"])
+def test_hot_path_plans_no_einsum(monkeypatch, plain):
+    # einsum(..., optimize=True) plans every call through einsum_path, which
+    # dominated small-map training before the contractions became matmuls
+    module = _einsum_module()
+    calls = []
+    original = module.einsum_path
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "einsum_path", counting)
+    np.einsum("ij,jk->ik", np.ones((2, 2)), np.ones((2, 2)), optimize=True)
+    assert len(calls) == 1  # the probe sees planned einsums
+    calls.clear()
+
+    cfg = ModelConfig(widths=(4, 8, 8), plain_blocks=2, U=4, V=2, H=3)
+    if plain:
+        cfg = matched_plain_config(cfg)
+    model = Model(cfg, np.random.default_rng(0))
+    probs, cache = model.forward(np.random.default_rng(1).random((1, 32, 32)))
+    model.backward(cache, np.ones_like(probs.p))
+    assert calls == []
+
+
 class TestModelGradients:
     def test_full_stack_finite_differences(self):
         from deformgabor.train import gradcheck_problem
