@@ -116,7 +116,7 @@ def affine_resample(image: np.ndarray, scale: float = 1.0, angle: float = 0.0,
     # inverse rotation by `angle`
     y_in = -rx * sa + ry * ca + cy
     x_in = rx * ca + ry * sa + cx
-    out = _interp(_gather(planes, y_in, x_in))
+    out = _interp(_gather(planes[None], y_in[None], x_in[None]))[0]
     return out[0] if squeeze else out
 
 

@@ -9,6 +9,14 @@ Offset fields are plain arrays of shape [2*H*H, Ho, Wo]: the first H*H
 channels are dy displacements per tap, the next H*H are dx. One field is
 shared by all input and output channels.
 
+`predict_offsets`, `sample_grid`, `sample_values` and `sample_backward`
+also run on a batch of bags: input [B, Cin, Hi, Wi] with one offset
+field per bag, [B, 2*H*H, Ho, Wo]. A single image is the B = 1 case of
+the same code. Each bag's taps are read with one flat `np.take` per
+corner, shared by its planes, and scattered back with one `np.bincount`
+per corner, so a bag's result does not depend on the others in its
+batch, bit for bit.
+
 At exactly-integer sampling coordinates the bilinear kernel is not
 differentiable; the floor-based corner weights below give the right
 derivative there, and gradient checks stay away from integer points.
@@ -16,6 +24,7 @@ derivative there, and gradient checks stay away from integer points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +67,11 @@ def zero_predictor(cin: int, H: int) -> OffsetPredictor:
 
 
 def predict_offsets(x: np.ndarray, pred: OffsetPredictor, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Offset field on the same spatial grid as the main convolution output."""
+    """Offset field on the same spatial grid as the main convolution output.
+
+    x: [Cin, Hi, Wi] gives [2*H*H, Ho, Wo]; a batch [B, Cin, Hi, Wi] gives
+    one field per bag, [B, 2*H*H, Ho, Wo].
+    """
     out = conv2d(x, pred.weight, stride=stride, pad=pad)
     return out + pred.bias[:, None, None]
 
@@ -69,7 +82,11 @@ def predict_offsets(x: np.ndarray, pred: OffsetPredictor, stride: int = 1, pad: 
 
 @dataclass
 class _SampleCache:
-    """Corner bookkeeping for a batch of bilinear reads, kept for backward."""
+    """Corner bookkeeping for a batch of bilinear reads, kept for backward.
+
+    Per-tap arrays are [B, 1, *grid], so they broadcast over the plane
+    axis of the corner values [B, C, *grid].
+    """
 
     y0: np.ndarray  # floor row index, clipped into range
     x0: np.ndarray
@@ -86,10 +103,15 @@ class _SampleCache:
     v10: np.ndarray
     v11: np.ndarray
     plane_shape: tuple
+    single: bool = False  # built from one unbatched image: results drop the bag axis
 
 
 def _gather(planes: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> _SampleCache:
-    hi, wi = planes.shape[-2:]
+    """Bilinear corners of planes [B, C, Hi, Wi] at fractional coordinates [B, *grid]."""
+    b, cin, hi, wi = planes.shape
+    grid = yy.shape[1:]
+    yy = yy.reshape((b, 1) + grid)
+    xx = xx.reshape((b, 1) + grid)
     y0f = np.floor(yy)
     x0f = np.floor(xx)
     fy = yy - y0f
@@ -98,102 +120,141 @@ def _gather(planes: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> _SampleCache:
     x0 = x0f.astype(np.int64)
     y1 = y0 + 1
     x1 = x0 + 1
+    # clip into range (np.clip costs far more than these two ufuncs on small
+    # arrays); a corner is a real pixel where clipping left it unchanged
+    y0c = np.minimum(np.maximum(y0, 0), hi - 1)
+    x0c = np.minimum(np.maximum(x0, 0), wi - 1)
+    y1c = np.minimum(np.maximum(y1, 0), hi - 1)
+    x1c = np.minimum(np.maximum(x1, 0), wi - 1)
+    my0 = (y0c == y0).astype(np.float64)
+    my1 = (y1c == y1).astype(np.float64)
+    mx0 = (x0c == x0).astype(np.float64)
+    mx1 = (x1c == x1).astype(np.float64)
+    m00, m01, m10, m11 = my0 * mx0, my0 * mx1, my1 * mx0, my1 * mx1
 
-    def inside(y, x):
-        return ((y >= 0) & (y < hi) & (x >= 0) & (x < wi)).astype(np.float64)
-
-    m00, m01, m10, m11 = inside(y0, x0), inside(y0, x1), inside(y1, x0), inside(y1, x1)
-    y0c = np.clip(y0, 0, hi - 1)
-    x0c = np.clip(x0, 0, wi - 1)
-    y1c = np.clip(y1, 0, hi - 1)
-    x1c = np.clip(x1, 0, wi - 1)
-    v00 = planes[..., y0c, x0c] * m00
-    v01 = planes[..., y0c, x1c] * m01
-    v10 = planes[..., y1c, x0c] * m10
-    v11 = planes[..., y1c, x1c] * m11
+    # all four corners in one flat take per bag: one index per tap, shared by the planes
+    row0, row1 = y0c * wi, y1c * wi
+    idx = np.concatenate([(row0 + x0c).reshape(b, -1), (row0 + x1c).reshape(b, -1),
+                          (row1 + x0c).reshape(b, -1), (row1 + x1c).reshape(b, -1)], axis=1)
+    flat = planes.reshape(b, cin, hi * wi)
+    corners = np.empty((b, cin, 4) + grid)
+    taken = corners.reshape(b, cin, idx.shape[1])
+    for i in range(b):
+        np.take(flat[i], idx[i], axis=1, out=taken[i], mode="clip")
+    v00, v01, v10, v11 = (corners[:, :, k] for k in range(4))  # views of one buffer
+    for v, m in ((v00, m00), (v01, m01), (v10, m10), (v11, m11)):
+        v *= m
     return _SampleCache(y0c, x0c, y1c, x1c, fy, fx, m00, m01, m10, m11,
                         v00, v01, v10, v11, (hi, wi))
 
 
 def _interp(c: _SampleCache) -> np.ndarray:
-    return ((1 - c.fy) * (1 - c.fx) * c.v00 + (1 - c.fy) * c.fx * c.v01
-            + c.fy * (1 - c.fx) * c.v10 + c.fy * c.fx * c.v11)
+    gy = 1 - c.fy
+    gx = 1 - c.fx
+    return gy * gx * c.v00 + gy * c.fx * c.v01 + c.fy * gx * c.v10 + c.fy * c.fx * c.v11
 
 
 def bilinear_sample(plane: np.ndarray, y: float, x: float) -> float:
     """Interpolated read of a single plane at fractional (y, x); zero outside."""
     plane = as_tensor(plane)
-    c = _gather(plane, np.asarray(float(y)), np.asarray(float(x)))
-    return float(_interp(c))
+    c = _gather(plane[None, None], np.full((1, 1), float(y)), np.full((1, 1), float(x)))
+    return float(_interp(c)[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
 # Deformable convolution proper.
 # ---------------------------------------------------------------------------
 
-def _tap_coords(H: int, offsets: np.ndarray, stride: int, pad: int):
-    hh = H * H
-    if offsets.shape[0] != 2 * hh:
-        raise ValueError(f"offset field needs {2 * hh} channels, got {offsets.shape[0]}")
-    ho, wo = offsets.shape[1], offsets.shape[2]
-    k = np.arange(hh) // H
-    l = np.arange(hh) % H
+@functools.lru_cache(maxsize=64)
+def _tap_base(H: int, ho: int, wo: int, stride: int, pad: int):
+    """Undisplaced tap rows [H*H, Ho, 1] and columns [H*H, 1, Wo]; read-only, shared."""
+    k = np.arange(H * H) // H
+    l = np.arange(H * H) % H
     base_y = (np.arange(ho) * stride - pad)[None, :, None] + k[:, None, None]
     base_x = (np.arange(wo) * stride - pad)[None, None, :] + l[:, None, None]
-    yy = base_y + offsets[:hh]
-    xx = base_x + offsets[hh:]
-    return yy, xx
+    base_y.setflags(write=False)
+    base_x.setflags(write=False)
+    return base_y, base_x
+
+
+def _tap_coords(H: int, offsets: np.ndarray, stride: int, pad: int):
+    """Sampling rows and columns [B, H*H, Ho, Wo] of the offset fields [B, 2*H*H, Ho, Wo]."""
+    hh = H * H
+    if offsets.shape[1] != 2 * hh:
+        raise ValueError(f"offset field needs {2 * hh} channels, got {offsets.shape[1]}")
+    base_y, base_x = _tap_base(H, offsets.shape[2], offsets.shape[3], stride, pad)
+    return base_y + offsets[:, :hh], base_x + offsets[:, hh:]
 
 
 def sample_grid(x: np.ndarray, offsets: np.ndarray, H: int,
                 stride: int = 1, pad: int = 0) -> _SampleCache:
     """Bilinear-read every kernel tap of every output position at once.
 
+    x: [Cin, Hi, Wi] with offsets [2*H*H, Ho, Wo], or a batch
+    [B, Cin, Hi, Wi] with one field per bag, [B, 2*H*H, Ho, Wo].
     Returns the corner cache; `sample_values` yields the [Cin, H*H, Ho, Wo]
-    tensor of interpolated reads, and `sample_backward` routes gradients to
-    the input planes and the offset field.
+    tensor of interpolated reads ([B, Cin, H*H, Ho, Wo] for a batch), and
+    `sample_backward` routes gradients to the input planes and the offset
+    field.
     """
     x = as_tensor(x)
+    single = x.ndim == 3
+    if single:
+        x, offsets = x[None], offsets[None]
+    if x.ndim != 4 or offsets.ndim != 4 or len(offsets) != len(x):
+        raise ValueError(f"input {x.shape} and offset fields {offsets.shape} "
+                         "need one field per bag")
     yy, xx = _tap_coords(H, offsets, stride, pad)
-    return _gather(x, yy, xx)
+    cache = _gather(x, yy, xx)
+    cache.single = single
+    return cache
 
 
 def sample_values(cache: _SampleCache) -> np.ndarray:
-    return _interp(cache)
+    v = _interp(cache)
+    return v[0] if cache.single else v
 
 
-def sample_backward(cache: _SampleCache, grad_samples: np.ndarray):
+def _offset_grad(c: _SampleCache, grad_samples: np.ndarray) -> np.ndarray:
+    """[B, 2*H*H, Ho, Wo]: one offset field serves every plane of a bag, so
+    the slopes are reduced over the plane axis."""
+    dvdy = (1 - c.fx) * (c.v10 - c.v00) + c.fx * (c.v11 - c.v01)
+    dvdx = (1 - c.fy) * (c.v01 - c.v00) + c.fy * (c.v11 - c.v10)
+    return np.concatenate([(grad_samples * dvdy).sum(axis=1),
+                           (grad_samples * dvdx).sum(axis=1)], axis=1)
+
+
+def sample_backward(cache: _SampleCache, grad_samples: np.ndarray, need_input: bool = True):
     """Gradients of the sampled values: returns (grad_input, grad_offsets).
 
-    grad_samples: [Cin, H*H, Ho, Wo]. The offset gradient uses the
-    piecewise-linear corner weights (slopes +/-1 between neighbors).
+    grad_samples has the shape `sample_values` returned. The offset gradient
+    uses the piecewise-linear corner weights (slopes +/-1 between
+    neighbors). With need_input=False grad_input is None and the scatter
+    back to the planes is skipped.
     """
     c = cache
     hi, wi = c.plane_shape
-    cin = grad_samples.shape[0]
-
-    dvdy = (1 - c.fx) * (c.v10 - c.v00) + c.fx * (c.v11 - c.v01)
-    dvdx = (1 - c.fy) * (c.v01 - c.v00) + c.fy * (c.v11 - c.v10)
-    # one offset field serves every plane: reduce over the plane axis
-    grad_offsets = np.concatenate([(grad_samples * dvdy).sum(axis=0),
-                                   (grad_samples * dvdx).sum(axis=0)], axis=0)
-
-    grad_input_flat = np.zeros(cin * hi * wi)
-    chan = (np.arange(cin) * (hi * wi))[:, None]
-    for w_c, m_c, yc, xc in (
-        ((1 - c.fy) * (1 - c.fx), c.m00, c.y0, c.x0),
-        ((1 - c.fy) * c.fx, c.m01, c.y0, c.x1),
-        (c.fy * (1 - c.fx), c.m10, c.y1, c.x0),
-        (c.fy * c.fx, c.m11, c.y1, c.x1),
-    ):
-        vals = grad_samples * (w_c * m_c)
-        idx = chan + (yc * wi + xc).reshape(-1)[None, :]
-        grad_input_flat += np.bincount(
-            idx.reshape(cin, -1).ravel(),
-            weights=vals.reshape(cin, -1).ravel(),
-            minlength=cin * hi * wi,
-        )
-    return grad_input_flat.reshape(cin, hi, wi), grad_offsets
+    if c.single:
+        grad_samples = grad_samples[None]
+    b, cin = grad_samples.shape[:2]
+    grad_offsets = _offset_grad(c, grad_samples)
+    grad_input = None
+    if need_input:
+        grad_input_flat = np.zeros(b * cin * hi * wi)
+        chan = (np.arange(b * cin) * (hi * wi)).reshape(b, cin, 1)
+        for w_c, m_c, yc, xc in (
+            ((1 - c.fy) * (1 - c.fx), c.m00, c.y0, c.x0),
+            ((1 - c.fy) * c.fx, c.m01, c.y0, c.x1),
+            (c.fy * (1 - c.fx), c.m10, c.y1, c.x0),
+            (c.fy * c.fx, c.m11, c.y1, c.x1),
+        ):
+            grad_input_flat += np.bincount((chan + (yc * wi + xc).reshape(b, 1, -1)).ravel(),
+                                           weights=(grad_samples * (w_c * m_c)).ravel(),
+                                           minlength=b * cin * hi * wi)
+        grad_input = grad_input_flat.reshape(b, cin, hi, wi)
+    if c.single:
+        return (None if grad_input is None else grad_input[0]), grad_offsets[0]
+    return grad_input, grad_offsets
 
 
 def deform_conv_forward(x: np.ndarray, w: np.ndarray, offsets: np.ndarray,

@@ -21,6 +21,15 @@ Both stages run as im2col contractions: each is a reshape of the
 sampled taps or the padded windows into a column matrix and one matrix
 product with the flattened weights.
 
+`dgconv_forward_batch`/`dgconv_backward_batch` run the layer on a batch
+of bags, [B, U, N, Hi, Wi] or a shared [B, N, Hi, Wi], with one offset
+field per bag; the weight-only products (stage-1 weights, modulated
+Gabor filters) are formed once per batch. The column matrices keep the
+bag axis, so each contraction is one matrix product per bag on the
+operands a single image would give, and the parameter gradients come
+back per bag, [B, *param.shape], for the caller to sum in its own
+order. `dgconv_forward`/`dgconv_backward` are the B = 1 case.
+
 Backward supports two modes. `exact` is the true gradient of the
 composed map (the masks receive contributions through both stages, and
 the offset branch feeds the input gradient). `paper` replaces the mask
@@ -36,7 +45,7 @@ gradients stay exact in both modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +62,9 @@ __all__ = [
     "modulate_conv",
     "modulate_gabor",
     "dgconv_forward",
+    "dgconv_forward_batch",
     "dgconv_backward",
+    "dgconv_backward_batch",
     "param_count",
 ]
 
@@ -162,16 +173,28 @@ def modulate_gabor(bank: GaborBank, S: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DGConvCache:
+    """What backward needs of a forward pass.
+
+    The arrays carry a leading bag axis; in the cache `dgconv_forward`
+    returns for one image, flat, offsets, v and e_pad drop it.
+    """
+
     params: DGConvParams
     stride: int
     pad: int
-    in_shape: tuple           # [U, N, Hi, Wi], or [N, Hi, Wi] for a shared input
-    flat: np.ndarray          # [C, Hi, Wi] planes stage 1 reads: C = U*N, or N if shared
-    offsets: np.ndarray       # [2*H*H, Ho, Wo]
+    in_shape: tuple           # one bag's input: [U, N, Hi, Wi], or [N, Hi, Wi] if shared
+    flat: np.ndarray          # [B, C, Hi, Wi] planes stage 1 reads: C = U*N, or N if shared
+    offsets: np.ndarray       # [B, 2*H*H, Ho, Wo]
     samples: object           # bilinear corner cache
-    v: np.ndarray             # sampled taps [C, H*H, Ho, Wo]
-    e_pad: np.ndarray         # padded intermediate maps [V, M, Ho+H-1, Wo+H-1]
+    v: np.ndarray             # sampled taps [B, C, H*H, Ho, Wo]
+    e_pad: np.ndarray         # padded intermediate maps [B, V, M, Ho+H-1, Wo+H-1]
     out_grid: tuple
+
+
+def _bag_views(cache: DGConvCache, pick) -> DGConvCache:
+    """The cache with `pick` (drop or add the bag axis) applied to its per-bag arrays."""
+    return replace(cache, flat=pick(cache.flat), offsets=pick(cache.offsets),
+                   v=pick(cache.v), e_pad=pick(cache.e_pad))
 
 
 def _stage1_weights(p: DGConvParams, shared: bool):
@@ -191,10 +214,10 @@ def _stage1_weights(p: DGConvParams, shared: bool):
 
 
 def _gabor_columns(e_pad: np.ndarray, h: int, out_grid: tuple) -> np.ndarray:
-    """im2col of the padded intermediate maps: [V*H*H, M*Ho*Wo]."""
-    v_cnt, m = e_pad.shape[:2]
-    win = _windows(e_pad, h, h, *out_grid).transpose(0, 2, 3, 1, 4, 5)  # [V, H, H, M, Ho, Wo]
-    return win.reshape(v_cnt * h * h, m * out_grid[0] * out_grid[1])
+    """im2col of the padded intermediate maps, per bag: [B, V*H*H, M*Ho*Wo]."""
+    b, v_cnt, m = e_pad.shape[:3]
+    win = _windows(e_pad, h, h, *out_grid).transpose(0, 1, 3, 4, 2, 5, 6)  # [B, V, H, H, M, Ho, Wo]
+    return win.reshape(b, v_cnt * h * h, m * out_grid[0] * out_grid[1])
 
 
 def dgconv_forward(x: np.ndarray, p: DGConvParams, stride: int = 1, pad: int = 0):
@@ -202,46 +225,60 @@ def dgconv_forward(x: np.ndarray, p: DGConvParams, stride: int = 1, pad: int = 0
 
     x: [U, N, Hi, Wi], or a shared [N, Hi, Wi] map that all U orientations
     read. Returns (y, cache) with y: [U, M, Ho, Wo]; the Gabor stage uses
-    "same" zero padding so y keeps the deformable stage's grid.
+    "same" zero padding so y keeps the deformable stage's grid. This is
+    `dgconv_forward_batch` on a batch of one.
+    """
+    x = as_tensor(x)
+    if x.ndim not in (3, 4):
+        raise ValueError(f"input must be [U, N, Hi, Wi] or [N, Hi, Wi], got shape {x.shape}")
+    y, cache = dgconv_forward_batch(x[None], p, stride=stride, pad=pad)
+    return y[0], _bag_views(cache, lambda a: a[0])
+
+
+def dgconv_forward_batch(x: np.ndarray, p: DGConvParams, stride: int = 1, pad: int = 0):
+    """Run the layer on a batch of bags: x [B, U, N, Hi, Wi] or shared [B, N, Hi, Wi].
+
+    Returns (y, cache) with y: [B, U, M, Ho, Wo]; bag b's slice equals
+    `dgconv_forward(x[b], p)` bit for bit.
     """
     x = as_tensor(x)
     m, n_p, u, h, _ = p.conv_filters.shape
-    shared = x.ndim == 3
+    shared = x.ndim == 4
     if shared:
-        n, hi, wi = x.shape
-    elif x.ndim == 4:
-        u_x, n, hi, wi = x.shape
+        b, n, hi, wi = x.shape
+    elif x.ndim == 5:
+        b, u_x, n, hi, wi = x.shape
         if u_x != u:
             raise ValueError(f"input [U={u_x}, N={n}] does not match filters [U={u}, N={n_p}]")
     else:
-        raise ValueError(f"input must be [U, N, Hi, Wi] or [N, Hi, Wi], got shape {x.shape}")
+        raise ValueError(f"batch must be [B, U, N, Hi, Wi] or [B, N, Hi, Wi], got shape {x.shape}")
     if n != n_p:
         raise ValueError(f"input has N={n} channels but filters expect N={n_p}")
     if p.gabor.U != u or p.gabor.H != h:
         raise ValueError("orientation bank does not match the layer")
     v_cnt = p.masks.shape[0]
 
-    flat = x if shared else x.reshape(u * n, hi, wi)
+    flat = x if shared else x.reshape(b, u * n, hi, wi)
     c_flat, w_off = _stage1_weights(p, shared)
     offsets = predict_offsets(flat, OffsetPredictor(w_off, p.offset_pred.bias),
                               stride=stride, pad=pad)
     samples = sample_grid(flat, offsets, h, stride=stride, pad=pad)
-    vals = sample_values(samples)  # [C, H*H, Ho, Wo]
-    ho, wo = vals.shape[2], vals.shape[3]
+    vals = sample_values(samples)  # [B, C, H*H, Ho, Wo]
+    ho, wo = vals.shape[-2:]
 
-    # deformable stage, all V mask variants at once: [V*M, C*H*H] @ [C*H*H, Ho*Wo]
+    # deformable stage, all V mask variants at once: [V*M, C*H*H] @ [B, C*H*H, Ho*Wo]
     s_flat = p.masks.reshape(v_cnt, h * h)
     w_mod = (s_flat[:, None, None, :] * c_flat[None]).reshape(v_cnt * m, -1)
-    e = (w_mod @ vals.reshape(w_mod.shape[1], ho * wo)).reshape(v_cnt, m, ho, wo)
+    e = (w_mod @ vals.reshape(b, w_mod.shape[1], ho * wo)).reshape(b, v_cnt, m, ho, wo)
 
-    # Gabor stage: [U, V*H*H] @ [V*H*H, M*Ho*Wo]
+    # Gabor stage: [U, V*H*H] @ [B, V*H*H, M*Ho*Wo]
     p2 = (h - 1) // 2
-    e_pad = np.zeros((v_cnt, m, ho + 2 * p2, wo + 2 * p2))
-    e_pad[:, :, p2:p2 + ho, p2:p2 + wo] = e
+    e_pad = np.zeros((b, v_cnt, m, ho + 2 * p2, wo + 2 * p2))
+    e_pad[..., p2:p2 + ho, p2:p2 + wo] = e
     ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3).reshape(u, v_cnt * h * h)
-    y = (ghat @ _gabor_columns(e_pad, h, (ho, wo))).reshape(u, m, ho, wo)
+    y = (ghat @ _gabor_columns(e_pad, h, (ho, wo))).reshape(b, u, m, ho, wo)
 
-    cache = DGConvCache(params=p, stride=stride, pad=pad, in_shape=x.shape,
+    cache = DGConvCache(params=p, stride=stride, pad=pad, in_shape=x.shape[1:],
                         flat=flat, offsets=offsets, samples=samples, v=vals,
                         e_pad=e_pad, out_grid=(ho, wo))
     return y, cache
@@ -255,7 +292,46 @@ def dgconv_backward(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact")
     gets the sum of the U orientation slices' gradients.
     mode='exact' gives true gradients; mode='paper' swaps the mask and
     filter gradients for the approximate update directions (see module
-    docstring) while keeping offsets and input exact.
+    docstring) while keeping offsets and input exact. This is
+    `dgconv_backward_batch` on a batch of one.
+    """
+    grads = dgconv_backward_batch(as_tensor(grad_y)[None], _bag_views(cache, lambda a: a[None]),
+                                  mode=mode)
+    return {name: g[0] for name, g in grads.items()}
+
+
+def _gabor_stage_backward(grad_y: np.ndarray, cache: DGConvCache):
+    """Gabor stage: (grad_ghat [B, V, U, H, H], grad_e [B, V*M, Ho*Wo]).
+
+    The weight gradient comes from the columns, the maps' gradient from
+    col2im. Kept apart so that its column buffers are freed before the
+    deformable stage's backward allocates its own.
+    """
+    p = cache.params
+    b, u, m = grad_y.shape[:3]
+    v_cnt, h = p.masks.shape[0], p.masks.shape[1]
+    ho, wo = cache.out_grid
+    p2 = (h - 1) // 2
+    ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3).reshape(u, v_cnt * h * h)
+    gy2 = grad_y.reshape(b, u, m * ho * wo)
+    cols = _gabor_columns(cache.e_pad, h, (ho, wo))
+    grad_ghat = (gy2 @ cols.transpose(0, 2, 1)).reshape(b, u, v_cnt, h, h)
+    gcols = (ghat.T @ gy2).reshape(b, v_cnt, h, h, m, ho, wo)
+    grad_e_pad = np.zeros_like(cache.e_pad)
+    for k in range(h):
+        for l in range(h):
+            grad_e_pad[..., k:k + ho, l:l + wo] += gcols[:, :, k, l]
+    grad_e = grad_e_pad[..., p2:p2 + ho, p2:p2 + wo].reshape(b, v_cnt * m, ho * wo)
+    return grad_ghat.transpose(0, 2, 1, 3, 4), grad_e
+
+
+def dgconv_backward_batch(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact",
+                          need_input: bool = True) -> dict:
+    """Per-bag gradients of `dgconv_forward_batch` given grad_y: [B, U, M, Ho, Wo].
+
+    Every entry has a leading bag axis: bag b's slice equals
+    `dgconv_backward(grad_y[b], ...)` on that bag alone. With
+    need_input=False 'input' is None and its two scatters are skipped.
     """
     if mode not in ("exact", "paper"):
         raise ValueError(f"unknown backward mode {mode!r}")
@@ -263,8 +339,9 @@ def dgconv_backward(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact")
     m, n, u, h, _ = p.conv_filters.shape
     v_cnt = p.masks.shape[0]
     ho, wo = cache.out_grid
+    b = len(cache.flat)
     grad_y = as_tensor(grad_y)
-    if grad_y.shape != (u, m, ho, wo):
+    if grad_y.shape != (b, u, m, ho, wo):
         raise ValueError(f"grad_y shape {grad_y.shape} does not match cached forward")
     shared = len(cache.in_shape) == 3
     c_flat, w_off = _stage1_weights(p, shared)
@@ -272,47 +349,38 @@ def dgconv_backward(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact")
 
     g = p.gabor.filters
     s_flat = p.masks.reshape(v_cnt, h * h)
-    ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3).reshape(u, v_cnt * h * h)
-    p2 = (h - 1) // 2
-
-    # Gabor stage: weight gradient from the columns, col2im for the maps
-    gy2 = grad_y.reshape(u, m * ho * wo)
-    grad_ghat = (gy2 @ _gabor_columns(cache.e_pad, h, (ho, wo)).T).reshape(u, v_cnt, h, h)
-    grad_ghat = grad_ghat.transpose(1, 0, 2, 3)  # [V, U, H, H]
-    gcols = (ghat.T @ gy2).reshape(v_cnt, h, h, m, ho, wo)
-    grad_e_pad = np.zeros_like(cache.e_pad)
-    for k in range(h):
-        for l in range(h):
-            grad_e_pad[:, :, k:k + ho, l:l + wo] += gcols[:, k, l]
-    grad_e = grad_e_pad[:, :, p2:p2 + ho, p2:p2 + wo].reshape(v_cnt * m, ho * wo)
+    grad_ghat, grad_e = _gabor_stage_backward(grad_y, cache)
 
     # deformable stage
-    vals = cache.v.reshape(cin * h * h, ho * wo)
-    grad_wfull = (grad_e @ vals.T).reshape(v_cnt, m, cin, h * h)
+    vals = cache.v.reshape(b, cin * h * h, ho * wo)
+    grad_wfull = (grad_e @ vals.transpose(0, 2, 1)).reshape(b, v_cnt, m, cin, h * h)
     w_mod = (s_flat[:, None, None, :] * c_flat[None]).reshape(v_cnt * m, -1)
-    grad_samples = (w_mod.T @ grad_e).reshape(cin, h * h, ho, wo)
-    grad_flat, grad_offsets = sample_backward(cache.samples, grad_samples)
+    grad_samples = (w_mod.T @ grad_e).reshape(b, cin, h * h, ho, wo)
+    grad_flat, grad_offsets = sample_backward(cache.samples, grad_samples, need_input)
 
     # offset branch: predictor parameters plus its contribution to the input
     grad_flat_off, grad_pred_w = conv2d_backward(
-        grad_offsets, cache.flat, w_off, stride=cache.stride, pad=cache.pad)
-    grad_pred_b = grad_offsets.sum(axis=(1, 2))
-    grad_input = (grad_flat + grad_flat_off).reshape(cache.in_shape)
+        grad_offsets, cache.flat, w_off, stride=cache.stride, pad=cache.pad,
+        need_input=need_input)
+    grad_pred_b = grad_offsets.sum(axis=(2, 3))
+    grad_input = None
+    if need_input:
+        grad_input = (grad_flat + grad_flat_off).reshape((b,) + tuple(cache.in_shape))
 
     if mode == "exact":
-        grad_c_flat = (grad_wfull * s_flat[:, None, None, :]).sum(axis=0)
-        grad_s = ((grad_ghat * g[None]).sum(axis=1)
-                  + (grad_wfull * c_flat[None]).sum(axis=(1, 2)).reshape(v_cnt, h, h))
+        grad_c_flat = (grad_wfull * s_flat[:, None, None, :]).sum(axis=1)
+        grad_s = ((grad_ghat * g).sum(axis=2)
+                  + (grad_wfull * c_flat[None]).sum(axis=(2, 3)).reshape(b, v_cnt, h, h))
     else:
-        grad_c_flat = grad_wfull.sum(axis=0) * s_flat.sum(axis=0)[None, None, :]
-        grad_s = grad_ghat.sum(axis=1) * g.sum(axis=0)[None]
+        grad_c_flat = grad_wfull.sum(axis=1) * s_flat.sum(axis=0)
+        grad_s = grad_ghat.sum(axis=2) * g.sum(axis=0)
 
     if shared:  # every orientation's copy of a weight gets the shared plane's gradient
-        grad_c = np.repeat(grad_c_flat.reshape(m, n, 1, h, h), u, axis=2)
-        grad_pred_w = np.tile(grad_pred_w, (1, u, 1, 1))
+        grad_c = np.repeat(grad_c_flat.reshape(b, m, n, 1, h, h), u, axis=3)
+        grad_pred_w = np.tile(grad_pred_w, (1, 1, u, 1, 1))
     else:
         grad_c = np.ascontiguousarray(
-            grad_c_flat.reshape(m, u, n, h, h).transpose(0, 2, 1, 3, 4))
+            grad_c_flat.reshape(b, m, u, n, h, h).transpose(0, 1, 3, 2, 4, 5))
     return {
         "conv_filters": grad_c,
         "masks": grad_s,

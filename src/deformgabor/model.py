@@ -63,6 +63,10 @@ class ModelConfig:
             raise ValueError("plain_blocks must be between 0 and the number of stages")
         if self.task not in ("mil", "miml"):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.H < 3 or self.H % 2 == 0:
+            raise ValueError(f"kernel_size must be odd and >= 3, got {self.H}")
+        if self.U < 1 or self.V < 1:
+            raise ValueError(f"orientations and mask_count must be >= 1, got U={self.U}, V={self.V}")
 
     @property
     def n_blocks(self) -> int:
@@ -141,63 +145,84 @@ class Model:
         return MILHead(w=self.params["head.w"], b=float(b[0]) if b.size == 1 and self.cfg.task == "mil" else b)
 
     def forward(self, image: np.ndarray):
-        """image: [in_channels, W, W] -> (PatchProbabilities, cache for backward)."""
-        cfg = self.cfg
+        """image: [in_channels, W, W] -> (PatchProbabilities, cache for backward).
+
+        The B = 1 case of `forward_batch`.
+        """
         x = as_tensor(image)
-        if x.shape[0] != cfg.in_channels:
-            raise ShapeMismatchError(f"expected {cfg.in_channels} input channels, got {x.shape[0]}")
+        if x.shape[0] != self.cfg.in_channels:
+            raise ShapeMismatchError(f"expected {self.cfg.in_channels} input channels, got {x.shape[0]}")
+        probs, cache = self.forward_batch(x[None])
+        return probs[0], cache
+
+    def forward_batch(self, images: np.ndarray, keep_cache: bool = True):
+        """images: [B, in_channels, W, W] -> (B PatchProbabilities, cache for backward).
+
+        Bag b's probabilities equal `forward(images[b])` bit for bit. With
+        keep_cache=False no block keeps its backward state and the cache is None.
+        """
+        cfg = self.cfg
+        x = as_tensor(images)
+        if x.ndim != 4 or x.shape[1] != cfg.in_channels:
+            raise ShapeMismatchError(
+                f"expected a batch [B, {cfg.in_channels}, W, W], got shape {x.shape}")
         pad = (cfg.H - 1) // 2
         caches = []
         for i in range(cfg.n_blocks):
             if cfg.block_kind(i) == "plain":
                 w = self.params[f"block{i}.weight"]
                 pre = conv2d(x, w, stride=1, pad=pad)
-                act = _relu(pre)
-                out = _avgpool2(act)
-                caches.append(("plain", i, x, pre, act.shape))
-                x = out
+                block_cache = x
             else:
                 # A block entering the oriented part of the stack gets the plain
-                # [N, h, w] map, which all U orientations read; the layer returns
-                # [U, M, h, w] either way and its input gradient has x's shape.
-                pre, cache = dg.dgconv_forward(x, self.dg_params[i], stride=1, pad=pad)
-                act = _relu(pre)
-                out = _avgpool2(act)
-                caches.append(("gabor", i, cache, pre, act.shape))
-                x = out
-        if x.ndim == 4:  # [U, M, h, w] -> [U*M, h, w]
-            feat = x.reshape(-1, x.shape[2], x.shape[3])
-        else:
-            feat = x
-        probs = patch_probs(feat, self.head)
-        return probs, (caches, feat, probs)
+                # [B, N, h, w] maps, which all U orientations read; the layer returns
+                # [B, U, M, h, w] either way.
+                pre, block_cache = dg.dgconv_forward_batch(x, self.dg_params[i], stride=1, pad=pad)
+            act = _relu(pre)
+            x = _avgpool2(act)
+            if keep_cache:
+                caches.append((cfg.block_kind(i), i, block_cache, pre, act.shape))
+        feat = x.reshape(x.shape[0], -1, x.shape[-2], x.shape[-1])  # [B, U*M, h, w] if oriented
+        head = self.head
+        probs = [patch_probs(f, head) for f in feat]
+        return probs, ((caches, feat, probs) if keep_cache else None)
 
     def backward(self, cache, grad_p: np.ndarray, mode: str = "exact") -> dict:
-        """Gradients for every parameter given d(loss)/d(patch probabilities)."""
+        """Gradients for every parameter given d(loss)/d(patch probabilities).
+
+        The B = 1 case of `backward_batch`.
+        """
+        return {name: g[0] for name, g in self.backward_batch(cache, [grad_p], mode).items()}
+
+    def backward_batch(self, cache, grad_ps, mode: str = "exact") -> dict:
+        """Per-bag gradients {name: [B, *param.shape]} given each bag's d(loss)/d(probs).
+
+        Bag b's slice equals `backward` on that bag alone; summing over bags
+        is the caller's. Block 0's input gradient, the gradient with respect
+        to the images, is never formed.
+        """
         caches, feat, probs = cache
-        grad_w, grad_b, grad_feat = head_backward(grad_p, feat, self.head, probs)
-        grads = {"head.w": grad_w,
-                 "head.b": np.atleast_1d(np.asarray(grad_b, dtype=np.float64))}
+        head = self.head
+        head_grads = [head_backward(gp, f, head, pr) for gp, f, pr in zip(grad_ps, feat, probs)]
+        grads = {"head.w": np.stack([gw for gw, _, _ in head_grads]),
+                 "head.b": np.stack([np.atleast_1d(np.asarray(gb, dtype=np.float64))
+                                     for _, gb, _ in head_grads])}
+        g = np.stack([gf for _, _, gf in head_grads])
         pad = (self.cfg.H - 1) // 2
-        g = grad_feat
-        for entry in reversed(caches):
-            if entry[0] == "plain":
-                _, i, x_in, pre, act_shape = entry
-                g = _avgpool2_backward(g, act_shape)
-                g = g * (pre > 0)
-                g, gw = conv2d_backward(g, x_in, self.params[f"block{i}.weight"], stride=1, pad=pad)
+        for kind, i, block_cache, pre, act_shape in reversed(caches):
+            if g.ndim < len(act_shape):  # arrived flattened from the head
+                g = g.reshape(act_shape[:2] + (-1,) + g.shape[-2:])
+            g = _avgpool2_backward(g, act_shape)
+            g = g * (pre > 0)
+            if kind == "plain":
+                g, gw = conv2d_backward(g, block_cache, self.params[f"block{i}.weight"],
+                                        stride=1, pad=pad, need_input=i > 0)
                 grads[f"block{i}.weight"] = gw
             else:
-                _, i, dg_cache, pre, act_shape = entry
-                if g.ndim == 3:  # arrived flattened from the head
-                    g = g.reshape(self.cfg.U, -1, g.shape[1], g.shape[2])
-                g = _avgpool2_backward(g, act_shape)
-                g = g * (pre > 0)
-                block_grads = dg.dgconv_backward(g, dg_cache, mode=mode)
-                grads[f"block{i}.conv_filters"] = block_grads["conv_filters"]
-                grads[f"block{i}.masks"] = block_grads["masks"]
-                grads[f"block{i}.offset_weight"] = block_grads["offset_weight"]
-                grads[f"block{i}.offset_bias"] = block_grads["offset_bias"]
+                block_grads = dg.dgconv_backward_batch(g, block_cache, mode=mode,
+                                                       need_input=i > 0)
+                for name in ("conv_filters", "masks", "offset_weight", "offset_bias"):
+                    grads[f"block{i}.{name}"] = block_grads[name]
                 g = block_grads["input"]
         return grads
 

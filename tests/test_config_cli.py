@@ -113,6 +113,15 @@ class TestCLI:
         assert main(["params", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["optimizer.batch_size=0", "model.kernel_size=4",
+                                          "optimizer.epochs=-1"])
+    def test_invalid_value_exit_code(self, override, tmp_path, capsys):
+        assert main(["train", "--output", str(tmp_path)] + FAST + ["--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert override.split(".")[1].split("=")[0] in err
+        assert not (tmp_path / "initial.ckpt").exists()
+
     def test_params_breakdown(self, capsys):
         assert main(["params", "--set", "model.widths=8-8", "--set", "model.orientations=4",
                      "--set", "model.mask_count=4"]) == 0

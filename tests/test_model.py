@@ -98,6 +98,39 @@ def test_hot_path_plans_no_einsum(monkeypatch, plain):
     assert calls == []
 
 
+@pytest.mark.parametrize("plain_blocks", [1, 0])
+def test_image_gradient_never_formed(plain_blocks, monkeypatch):
+    """Block 0's input gradient is the gradient wrt the image, which nothing reads.
+
+    Each call that could form an input gradient is recorded with the plane
+    count of its input: the image has 1 plane, every later block's input 2
+    or more.
+    """
+    from deformgabor import layer, model as model_module
+
+    formed = []
+
+    def spy(module, name, planes_of):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            formed.append((planes_of(args), result[0] is not None))
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(model_module, "conv2d_backward", lambda args: args[1].shape[-3])
+    spy(layer, "conv2d_backward", lambda args: args[1].shape[-3])
+    spy(layer, "sample_backward", lambda args: args[1].shape[-4])
+    rng = np.random.default_rng(3)
+    model = nudge_offsets(Model(tiny_cfg(plain_blocks=plain_blocks), rng))
+    probs, cache = model.forward(rng.random((1, 8, 8)))
+    model.backward(cache, np.ones_like(probs.p))
+    assert {planes == 1 for planes, _ in formed} == {True, False}
+    assert all(was_formed == (planes > 1) for planes, was_formed in formed), formed
+
+
 class TestModelGradients:
     def test_full_stack_finite_differences(self):
         from deformgabor.train import gradcheck_problem

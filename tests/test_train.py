@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deformgabor.data import SynthLesionSpec, build_bags
-from deformgabor.model import Model, ModelConfig
+from deformgabor.mil import bag_prob, class_weights, miml_class_weights, miml_loss, weighted_mil_loss
+from deformgabor.model import Model, ModelConfig, matched_plain_config
 from deformgabor.train import (NumericsError, OptimizerConfig, adam_step,
                                batch_loss_and_grads, evaluate, grad_check,
                                gradcheck_problem, sgd_step, train_model)
@@ -224,3 +227,125 @@ class TestTrainingLoop:
                                        plateau_patience=1))
             results.append((history[-1]["train_loss"], model.params["head.w"].tobytes()))
         assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Passes of several bags against the bag-by-bag loop, compared bit for bit.
+# ---------------------------------------------------------------------------
+
+ACCEPTANCE_STACK = ModelConfig(widths=(4, 8, 8), plain_blocks=2, U=4, V=2, H=3)
+BATCH_CONFIGS = {
+    "4-8-8": ACCEPTANCE_STACK,
+    "matched_plain": matched_plain_config(ACCEPTANCE_STACK),
+    "plain_blocks0": ModelConfig(widths=(2, 4), plain_blocks=0, U=2, V=2, H=3),
+    "H5": ModelConfig(widths=(2, 4), plain_blocks=1, U=2, V=2, H=5),
+    "miml": ModelConfig(widths=(2, 4), plain_blocks=1, U=2, V=2, task="miml", n_labels=2),
+}
+
+
+def deformed_model(cfg, seed=0):
+    """A model whose offsets sit at fractional, non-zero positions."""
+    model = Model(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng([seed, 1])
+    for name, p in model.params.items():
+        if name.endswith("offset_bias"):
+            p[:] = rng.uniform(0.1, 0.3, size=p.shape)
+        elif name.endswith("offset_weight"):
+            p[:] = 0.05 * rng.standard_normal(p.shape)
+    return model
+
+
+def bags_for(cfg, sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    images = [rng.random((1, s, s)) for s in sizes]
+    if cfg.task == "mil":
+        labels = [i % 2 for i in range(len(sizes))]
+        weights = class_weights(labels)
+    else:
+        labels = [[i % 2, (i // 2) % 2] for i in range(len(sizes))]
+        weights = miml_class_weights(np.asarray(labels))
+    return images, labels, weights
+
+
+def bag_loss(cfg, probs, y, weights):
+    if cfg.task == "mil":
+        return weighted_mil_loss([(probs, y)], weights)
+    return miml_loss([(probs, y)], weights)
+
+
+def bag_by_bag(model, images, labels, weights, mode):
+    """The reference: Model.forward/backward per bag, summed in bag order."""
+    total = 0.0
+    acc = {}
+    for img, y in zip(images, labels):
+        probs, cache = model.forward(img)
+        loss, gp = bag_loss(model.cfg, probs, y, weights)
+        total += loss
+        for name, g in model.backward(cache, gp[0], mode=mode).items():
+            if name in acc:
+                acc[name] += g
+            else:
+                acc[name] = g.copy()
+    for g in acc.values():
+        g /= len(images)
+    return total / len(images), acc
+
+
+class TestBatchedPasses:
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+    def test_batch_loss_and_grads_equal_bag_by_bag(self, name, mode):
+        cfg = BATCH_CONFIGS[name]
+        model = deformed_model(cfg)
+        images, labels, weights = bags_for(cfg, [16] * 7)  # passes of 4 and 3
+        loss, grads = batch_loss_and_grads(model, images, labels, weights, mode=mode)
+        ref_loss, ref_grads = bag_by_bag(model, images, labels, weights, mode)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for key, g in grads.items():
+            assert np.array_equal(g, ref_grads[key]), key
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+    def test_evaluate_equals_single_forwards_on_mixed_sizes(self, name, monkeypatch):
+        cfg = BATCH_CONFIGS[name]
+        model = deformed_model(cfg)
+        sizes = [16, 8, 16, 16, 8, 16, 16, 8, 16]
+        images, labels, weights = bags_for(cfg, sizes)
+        passes = []
+        forward_batch = model.forward_batch
+
+        def spy(batch, keep_cache=True):
+            passes.append((len(batch), batch.shape[-1], keep_cache))
+            return forward_batch(batch, keep_cache)
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        scores, got_labels, loss = evaluate(model, list(zip(images, labels)), weights)
+        # bags of equal shape share a pass, no pass keeps a backward cache
+        assert sorted(passes) == [(2, 16, False), (3, 8, False), (4, 16, False)]
+
+        ref_loss = 0.0
+        for i, (img, y) in enumerate(zip(images, labels)):
+            probs, _ = model.forward(img)
+            want = bag_prob(probs) if cfg.task == "mil" else np.asarray(probs.p).max(axis=1)
+            assert np.array_equal(scores[i], want), i
+            ref_loss += bag_loss(cfg, probs, y, weights)[0]
+        assert loss == ref_loss / len(images)
+        assert np.array_equal(got_labels, np.asarray(labels))
+
+
+def test_pass_working_set_stays_small():
+    """A 16-bag step runs in passes, so its peak stays near one pass's, not 16 bags'."""
+    model = Model(ACCEPTANCE_STACK, np.random.default_rng(0))
+    images, labels, weights = bags_for(ACCEPTANCE_STACK, [32] * 16)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(model, images[:n], labels[:n], weights)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # warm caches
+    one, sixteen = peak(1), peak(16)
+    assert sixteen <= 4 * one, (one, sixteen)
