@@ -86,11 +86,26 @@ def cmd_params(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _check_classes(split: str, bags, needs: str) -> None:
+    """A split of one class ends as a config error: `needs` names what needs both."""
+    labels = np.asarray([np.atleast_1d(y) for _, y in bags] or [[-1]])  # empty: no class
+    for c in range(labels.shape[1]):
+        for y in (0, 1):
+            if not np.any(labels[:, c] == y):
+                label = f"label {c} of " if labels.shape[1] > 1 else ""
+                raise ConfigError(
+                    f"the {split} split ({len(bags)} bags) has no bag of {label}class {y}, "
+                    f"and {needs} needs both classes; change data.positive_fraction "
+                    f"or data.n_{split}")
+
+
 def cmd_train(args, cfg: RunConfig) -> int:
     from .data import AugmentConfig
 
-    out = _out_dir(args, cfg)
     train, val, _ = _splits(cfg)
+    _check_classes("train", train, "the class weighting")
+    _check_classes("val", val, "the validation AUC")
+    out = _out_dir(args, cfg)
     model = Model(cfg.model, np.random.default_rng(cfg.optimizer.seed))
     history = train_model(model, train, val, cfg.optimizer, out_dir=out,
                           mode=cfg.run.mode,

@@ -12,10 +12,15 @@ shared by all input and output channels.
 `predict_offsets`, `sample_grid`, `sample_values` and `sample_backward`
 also run on a batch of bags: input [B, Cin, Hi, Wi] with one offset
 field per bag, [B, 2*H*H, Ho, Wo]. A single image is the B = 1 case of
-the same code. Each bag's taps are read with one flat `np.take` per
-corner, shared by its planes, and scattered back with one `np.bincount`
-per corner, so a bag's result does not depend on the others in its
-batch, bit for bit.
+the same code. The gather reads a copy of the planes framed by a zero
+border two pixels wide: each tap's top-left corner is clipped into the
+frame while still a float, so a tap's two rows (and two columns) are
+both real or both border, and a read outside the image is a read of the
+border, with no corner masks and no integer cast of a far coordinate.
+Each bag's taps are read with one flat `np.take` for all four corners,
+shared by its planes, and scattered back into framed planes with one
+`np.bincount` per corner before the frame is cropped, so a bag's result
+does not depend on the others in its batch, bit for bit.
 
 At exactly-integer sampling coordinates the bilinear kernel is not
 differentiable; the floor-based corner weights below give the right
@@ -80,6 +85,9 @@ def predict_offsets(x: np.ndarray, pred: OffsetPredictor, stride: int = 1, pad: 
 # Bilinear sampling over a stack of planes at shared fractional coordinates.
 # ---------------------------------------------------------------------------
 
+FRAME = 2  # zero border of the framed planes the gather reads, in pixels
+
+
 @dataclass
 class _SampleCache:
     """Corner bookkeeping for a batch of bilinear reads, kept for backward.
@@ -88,17 +96,10 @@ class _SampleCache:
     axis of the corner values [B, C, *grid].
     """
 
-    y0: np.ndarray  # floor row index, clipped into range
-    x0: np.ndarray
-    y1: np.ndarray
-    x1: np.ndarray
-    fy: np.ndarray  # fractional parts
+    base: np.ndarray  # flat index of the top-left corner in a framed plane
+    fy: np.ndarray    # fractional parts
     fx: np.ndarray
-    m00: np.ndarray  # 1.0 where the corner is a real pixel, else 0.0
-    m01: np.ndarray
-    m10: np.ndarray
-    m11: np.ndarray
-    v00: np.ndarray  # corner values per plane, already masked to zero outside
+    v00: np.ndarray   # corner values per plane, zero outside the image
     v01: np.ndarray
     v10: np.ndarray
     v11: np.ndarray
@@ -106,46 +107,46 @@ class _SampleCache:
     single: bool = False  # built from one unbatched image: results drop the bag axis
 
 
+def _framed_shape(plane_shape) -> tuple:
+    return tuple(n + 2 * FRAME for n in plane_shape)
+
+
 def _gather(planes: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> _SampleCache:
-    """Bilinear corners of planes [B, C, Hi, Wi] at fractional coordinates [B, *grid]."""
+    """Bilinear corners of planes [B, C, Hi, Wi] at fractional coordinates [B, *grid].
+
+    The corners are read from a copy of the planes inside a zero frame
+    FRAME pixels wide. Each tap's top-left corner is clipped into
+    [-FRAME, size] while still a float, so a tap's two rows (and two
+    columns) are either the true ones or both in the frame, which reads
+    zero: no corner needs a mask, and no coordinate, however far out,
+    reaches an integer cast.
+    """
     b, cin, hi, wi = planes.shape
+    hp, wp = _framed_shape((hi, wi))
     grid = yy.shape[1:]
     yy = yy.reshape((b, 1) + grid)
     xx = xx.reshape((b, 1) + grid)
-    y0f = np.floor(yy)
-    x0f = np.floor(xx)
-    fy = yy - y0f
-    fx = xx - x0f
-    y0 = y0f.astype(np.int64)
-    x0 = x0f.astype(np.int64)
-    y1 = y0 + 1
-    x1 = x0 + 1
-    # clip into range (np.clip costs far more than these two ufuncs on small
-    # arrays); a corner is a real pixel where clipping left it unchanged
-    y0c = np.minimum(np.maximum(y0, 0), hi - 1)
-    x0c = np.minimum(np.maximum(x0, 0), wi - 1)
-    y1c = np.minimum(np.maximum(y1, 0), hi - 1)
-    x1c = np.minimum(np.maximum(x1, 0), wi - 1)
-    my0 = (y0c == y0).astype(np.float64)
-    my1 = (y1c == y1).astype(np.float64)
-    mx0 = (x0c == x0).astype(np.float64)
-    mx1 = (x1c == x1).astype(np.float64)
-    m00, m01, m10, m11 = my0 * mx0, my0 * mx1, my1 * mx0, my1 * mx1
+    y0 = np.floor(yy)
+    x0 = np.floor(xx)
+    fy = yy - y0
+    fx = xx - x0
+    # np.clip costs far more than these two ufuncs on small arrays
+    y0 = np.minimum(np.maximum(y0, -FRAME, out=y0), hi, out=y0)
+    x0 = np.minimum(np.maximum(x0, -FRAME, out=x0), wi, out=x0)
+    base = ((y0 + FRAME) * wp + (x0 + FRAME)).astype(np.intp)
 
+    framed = np.zeros((b, cin, hp, wp))
+    framed[:, :, FRAME:FRAME + hi, FRAME:FRAME + wi] = planes
     # all four corners in one flat take per bag: one index per tap, shared by the planes
-    row0, row1 = y0c * wi, y1c * wi
-    idx = np.concatenate([(row0 + x0c).reshape(b, -1), (row0 + x1c).reshape(b, -1),
-                          (row1 + x0c).reshape(b, -1), (row1 + x1c).reshape(b, -1)], axis=1)
-    flat = planes.reshape(b, cin, hi * wi)
+    flat_base = base.reshape(b, 1, -1)
+    idx = (flat_base + np.array([0, 1, wp, wp + 1])[:, None]).reshape(b, -1)
+    flat = framed.reshape(b, cin, hp * wp)
     corners = np.empty((b, cin, 4) + grid)
     taken = corners.reshape(b, cin, idx.shape[1])
     for i in range(b):
         np.take(flat[i], idx[i], axis=1, out=taken[i], mode="clip")
     v00, v01, v10, v11 = (corners[:, :, k] for k in range(4))  # views of one buffer
-    for v, m in ((v00, m00), (v01, m01), (v10, m10), (v11, m11)):
-        v *= m
-    return _SampleCache(y0c, x0c, y1c, x1c, fy, fx, m00, m01, m10, m11,
-                        v00, v01, v10, v11, (hi, wi))
+    return _SampleCache(base, fy, fx, v00, v01, v10, v11, (hi, wi))
 
 
 def _interp(c: _SampleCache) -> np.ndarray:
@@ -240,18 +241,22 @@ def sample_backward(cache: _SampleCache, grad_samples: np.ndarray, need_input: b
     grad_offsets = _offset_grad(c, grad_samples)
     grad_input = None
     if need_input:
-        grad_input_flat = np.zeros(b * cin * hi * wi)
-        chan = (np.arange(b * cin) * (hi * wi)).reshape(b, cin, 1)
-        for w_c, m_c, yc, xc in (
-            ((1 - c.fy) * (1 - c.fx), c.m00, c.y0, c.x0),
-            ((1 - c.fy) * c.fx, c.m01, c.y0, c.x1),
-            (c.fy * (1 - c.fx), c.m10, c.y1, c.x0),
-            (c.fy * c.fx, c.m11, c.y1, c.x1),
+        # scatter into framed planes, one bincount per corner, then crop the frame
+        hp, wp = _framed_shape((hi, wi))
+        size = b * cin * hp * wp
+        grad_framed = np.zeros(size)
+        tap = ((np.arange(b * cin) * (hp * wp)).reshape(b, cin, 1)
+               + c.base.reshape(b, 1, -1)).ravel()
+        for w_c, shift in (
+            ((1 - c.fy) * (1 - c.fx), 0),
+            ((1 - c.fy) * c.fx, 1),
+            (c.fy * (1 - c.fx), wp),
+            (c.fy * c.fx, wp + 1),
         ):
-            grad_input_flat += np.bincount((chan + (yc * wi + xc).reshape(b, 1, -1)).ravel(),
-                                           weights=(grad_samples * (w_c * m_c)).ravel(),
-                                           minlength=b * cin * hi * wi)
-        grad_input = grad_input_flat.reshape(b, cin, hi, wi)
+            grad_framed += np.bincount(tap + shift, weights=(grad_samples * w_c).ravel(),
+                                       minlength=size)
+        grad_input = grad_framed.reshape(b, cin, hp, wp)[:, :, FRAME:FRAME + hi,
+                                                          FRAME:FRAME + wi]
     if c.single:
         return (None if grad_input is None else grad_input[0]), grad_offsets[0]
     return grad_input, grad_offsets

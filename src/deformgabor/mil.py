@@ -64,20 +64,31 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def patch_probs(features: np.ndarray, head: MILHead) -> PatchProbabilities:
-    """Score every patch: p_ij = sigmoid(w . F[:, i, j] + b), flattened row-major."""
+def patch_probs(features: np.ndarray, head: MILHead):
+    """Score every patch: p_ij = sigmoid(w . F[:, i, j] + b), flattened row-major.
+
+    features: [C_feat, rows, cols] gives one PatchProbabilities; a batch
+    [B, C_feat, rows, cols] gives a list of B, scored with one einsum and
+    one sigmoid for the whole batch. Bag b's probabilities equal those of
+    `patch_probs(features[b], head)` bit for bit.
+    """
     features = as_tensor(features)
     w = as_tensor(head.w)
-    c_feat, rows, cols = features.shape
+    single = features.ndim == 3
+    if single:
+        features = features[None]
+    n_bags, c_feat, rows, cols = features.shape
     if w.shape[-1] != c_feat:
         raise ValueError(f"head expects {w.shape[-1]} feature channels, got {c_feat}")
     if w.ndim == 1:
-        z = np.einsum("c,crk->rk", w, features) + float(np.asarray(head.b))
-        p = sigmoid(z).reshape(-1)
+        z = np.einsum("c,bcrk->brk", w, features) + float(np.asarray(head.b))
+        p = sigmoid(z).reshape(n_bags, -1)
     else:
-        z = np.einsum("lc,crk->lrk", w, features) + np.asarray(head.b, dtype=np.float64)[:, None, None]
-        p = sigmoid(z).reshape(w.shape[0], -1)
-    return PatchProbabilities(p=p, grid=(rows, cols))
+        z = (np.einsum("lc,bcrk->blrk", w, features)
+             + np.asarray(head.b, dtype=np.float64)[:, None, None])
+        p = sigmoid(z).reshape(n_bags, w.shape[0], -1)
+    probs = [PatchProbabilities(p=pb, grid=(rows, cols)) for pb in p]
+    return probs[0] if single else probs
 
 
 def head_backward(grad_p: np.ndarray, features: np.ndarray, head: MILHead,

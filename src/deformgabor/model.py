@@ -183,8 +183,7 @@ class Model:
             if keep_cache:
                 caches.append((cfg.block_kind(i), i, block_cache, pre, act.shape))
         feat = x.reshape(x.shape[0], -1, x.shape[-2], x.shape[-1])  # [B, U*M, h, w] if oriented
-        head = self.head
-        probs = [patch_probs(f, head) for f in feat]
+        probs = patch_probs(feat, self.head)
         return probs, ((caches, feat, probs) if keep_cache else None)
 
     def backward(self, cache, grad_p: np.ndarray, mode: str = "exact") -> dict:
@@ -276,22 +275,53 @@ def matched_plain_config(cfg: ModelConfig) -> ModelConfig:
 # Checkpoints: named tensor sections in the binary container.
 # ---------------------------------------------------------------------------
 
+def _bank_config(bank: GaborBank) -> np.ndarray:
+    return np.array([bank.U, bank.H, bank.sigma, bank.lam])
+
+
+def _describe_bank(config) -> str:
+    u, h, sigma, lam = config
+    return f"U={u:g}, H={h:g}, sigma={sigma:g}, lambda={lam:g}"
+
+
 def save_checkpoint(path, model: Model) -> None:
     sections = dict(model.params)
     if model.bank is not None:
         sections["bank.filters"] = model.bank.filters
-        sections["bank.config"] = np.array([model.bank.U, model.bank.H,
-                                            model.bank.sigma, model.bank.lam])
+        sections["bank.config"] = _bank_config(model.bank)
     save_container(path, sections)
 
 
 def load_checkpoint(path, model: Model) -> None:
-    """Copy saved parameters into an already-configured model, strict on shapes."""
-    sections = load_container(path)
+    """Copy saved parameters into an already-configured model, strict on shapes.
+
+    A file that cannot be read as a container, or whose Gabor bank differs
+    from the model's (U, H, sigma and lambda exactly, the filters to 1e-12,
+    which allows for a different libm), raises ShapeMismatchError like a
+    missing or misshapen parameter. Nothing is copied unless all checks pass.
+    """
+    try:
+        sections = load_container(path)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"cannot read checkpoint {path}: {exc}") from None
     for name, arr in model.params.items():
         if name not in sections:
             raise ShapeMismatchError(f"checkpoint is missing parameter {name!r}")
         if sections[name].shape != arr.shape:
             raise ShapeMismatchError(
                 f"checkpoint {name!r} has shape {sections[name].shape}, model wants {arr.shape}")
+    if model.bank is not None:
+        want = _bank_config(model.bank)
+        config = sections.get("bank.config")
+        filters = sections.get("bank.filters")
+        if config is None or filters is None:
+            raise ShapeMismatchError("checkpoint has no Gabor bank, the model has one "
+                                     f"({_describe_bank(want)})")
+        if (config.shape != want.shape or not np.array_equal(config, want)
+                or filters.shape != model.bank.filters.shape
+                or not np.allclose(filters, model.bank.filters, rtol=0.0, atol=1e-12)):
+            saved = _describe_bank(config) if config.shape == want.shape else "unreadable"
+            raise ShapeMismatchError(f"checkpoint Gabor bank ({saved}) does not match "
+                                     f"the model's ({_describe_bank(want)})")
+    for name, arr in model.params.items():
         arr[...] = sections[name]

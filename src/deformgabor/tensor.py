@@ -193,13 +193,18 @@ def _write_tensor(fh, a: np.ndarray) -> None:
     fh.write(a.astype("<f8").tobytes())
 
 
+def _read_exact(fh, n: int) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ValueError(f"truncated file: wanted {n} bytes, got {len(raw)}")
+    return raw
+
+
 def _read_tensor(fh) -> np.ndarray:
-    (rank,) = struct.unpack("<I", fh.read(4))
-    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+    (rank,) = struct.unpack("<I", _read_exact(fh, 4))
+    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
     n = int(np.prod(dims))
-    payload = fh.read(8 * n)
-    if len(payload) != 8 * n:
-        raise ValueError("truncated tensor payload")
+    payload = _read_exact(fh, 8 * n)
     return np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
 
 
@@ -226,14 +231,15 @@ def save_container(path, sections: dict) -> None:
 
 
 def load_container(path) -> dict:
+    """Read the named sections back; a truncated or foreign file raises ValueError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path} is not a tensor container")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read_exact(fh, 4))
         sections = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
+            (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
+            name = _read_exact(fh, nlen).decode("utf-8")
             sections[name] = _read_tensor(fh)
         return sections
 

@@ -164,7 +164,10 @@ def gradcheck_problem(model_cfg, seed: int = 0, image_size: int = 8, mode: str =
     roundoff floor of the loss, so the instance avoids degenerate operating
     points: offsets sit at fractional coordinates, offset weights and the
     head are non-zero, inputs are scaled up, and the loss mixes a positive
-    and a negative bag. Returns (model, loss_and_grads, loss_only).
+    and a negative bag. Returns (model, loss_and_grads, loss_only); each
+    call runs both bags as one pass (`Model.forward_batch`) and adds their
+    losses and gradients in bag order, so the results equal those of two
+    single-image forwards bit for bit.
 
     That does not make every seed well conditioned. On the `gradcheck`
     command's default model, seeds 8, 15, 23, 44 and 57 of 0-59 (and 204)
@@ -177,8 +180,6 @@ def gradcheck_problem(model_cfg, seed: int = 0, image_size: int = 8, mode: str =
     205 puts a tap 2.9e-6 from an integer, within the step, and the finite
     differences there are off by 36%.
     """
-    from .model import Model  # local import; model depends on this module's siblings
-
     rng = np.random.default_rng(seed)
     model = Model(model_cfg, rng)
     r2 = np.random.default_rng([seed, 17])
@@ -189,32 +190,25 @@ def gradcheck_problem(model_cfg, seed: int = 0, image_size: int = 8, mode: str =
             p[:] = 0.1 * r2.standard_normal(p.shape)
         elif name == "head.w":
             p[:] = 2.0 * r2.standard_normal(p.shape)
-    images = [3.0 * rng.random((model_cfg.in_channels, image_size, image_size))
-              for _ in range(2)]
+    images = 3.0 * rng.random((2, model_cfg.in_channels, image_size, image_size))
     if model_cfg.task == "mil":
         labels = [1, 0]
         weights = {0: 2.0, 1: 3.0}
-        bag_loss = lambda probs, y: weighted_mil_loss([(probs, y)], weights)
     else:
         labels = [[1] + [0] * (model_cfg.n_labels - 1),
                   [0] * (model_cfg.n_labels - 1) + [1]]
         weights = None
-        bag_loss = lambda probs, y: miml_loss([(probs, y)])
 
     def loss_and_grads(mode=mode):
-        total = 0.0
         acc = {k: np.zeros_like(v) for k, v in model.params.items()}
-        for img, y in zip(images, labels):
-            probs, cache = model.forward(img)
-            loss, gp = bag_loss(probs, y)
+        total = 0.0
+        for loss in _add_pass(model, images, labels, weights, mode, acc, fresh=False):
             total += loss
-            for k, g in model.backward(cache, gp[0], mode=mode).items():
-                acc[k] += g
         return total, acc
 
     def loss_only():
-        return sum(bag_loss(model.forward(img)[0], y)[0]
-                   for img, y in zip(images, labels))
+        probs, _ = model.forward_batch(images, keep_cache=False)
+        return sum(_bag_loss(model, p, y, weights)[0] for p, y in zip(probs, labels))
 
     return model, loss_and_grads, loss_only
 

@@ -155,6 +155,24 @@ class TestCLI:
         assert main(args) == 4
         assert "shape error" in capsys.readouterr().err
 
+    def test_eval_truncated_checkpoint_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--output", str(out)] + FAST + ["--set", "optimizer.epochs=0"]) == 0
+        ckpt = out / "initial.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        capsys.readouterr()
+        assert main(["eval", "--output", str(out), "--checkpoint", str(ckpt)] + FAST) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("shape error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("override,split", [("data.positive_fraction=0.0", "train"),
+                                                ("data.n_val=1", "val")])
+    def test_one_class_split_exit_code(self, override, split, tmp_path, capsys):
+        assert main(["train", "--output", str(tmp_path)] + FAST + ["--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: the {split} split") and err.count("\n") == 1, err
+        assert not (tmp_path / "initial.ckpt").exists()
+
     def test_epochs_zero_writes_initial_only(self, tmp_path):
         out = str(tmp_path / "run0")
         assert main(["train", "--output", out] + FAST + ["--set", "optimizer.epochs=0"]) == 0

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
 from deformgabor.deform import (OffsetPredictor, bilinear_sample,
                                 deform_conv_backward, deform_conv_forward,
-                                predict_offsets, zero_predictor)
+                                predict_offsets, sample_backward, sample_grid,
+                                sample_values, zero_predictor)
 from deformgabor.tensor import conv2d_naive
 
 
@@ -143,3 +146,31 @@ class TestDeformBackward:
         assert rel_err(gx, fd_grad(loss, x)) < 1e-5
         assert rel_err(gw, fd_grad(loss, w)) < 1e-5
         assert rel_err(go, fd_grad(loss, off)) < 1e-5
+
+
+class TestFarTaps:
+    """Taps far outside the image read zero and pass no gradient, without warnings."""
+
+    @pytest.mark.parametrize("far", [1e19, -1e19, 1e300])
+    def test_read_zero_and_zero_gradients(self, far):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 3, 5, 6))
+        offsets = rng.uniform(-0.4, 0.4, size=(2, 18, 5, 6))
+        offsets[0, 4, 1, 1] = far           # dy of the centre tap at one position
+        offsets[1, 9 + 2, 3, 4] = far       # dx of a corner tap
+        offsets[1, 7, 0, 0] = offsets[1, 9 + 7, 0, 0] = -far
+        far_taps = [(0, 4, 1, 1), (1, 2, 3, 4), (1, 7, 0, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = sample_grid(x, offsets, 3, stride=1, pad=1)
+            v = sample_values(cache)
+            grad = np.zeros_like(v)
+            for b, k, i, j in far_taps:
+                assert not v[b, :, k, i, j].any()
+                grad[b, :, k, i, j] = rng.standard_normal(3)
+            grad_x, grad_off = sample_backward(cache, grad)
+            assert not grad_x.any()
+            assert not grad_off.any()
+            assert v[0, :, 4, 2, 2].all()  # a near tap still reads the image
+            for y, x_ in ((far, 1.0), (1.0, far), (far, far)):
+                assert bilinear_sample(x[0, 0], y, x_) == 0.0

@@ -222,3 +222,22 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             save_heatmap(str(tmp_path / "x"), probs)
         save_heatmap(str(tmp_path / "x"), probs, channel=1)
+
+
+class TestBatchedPatchProbs:
+    @pytest.mark.parametrize("n_bags", [1, 2, 5])
+    @pytest.mark.parametrize("labels", [None, 3])
+    def test_batch_equals_per_bag(self, n_bags, labels):
+        rng = np.random.default_rng(n_bags)
+        feats = rng.standard_normal((n_bags, 4, 3, 2)) * 3
+        if labels is None:
+            head = MILHead(w=rng.standard_normal(4), b=0.3)
+        else:
+            head = MILHead(w=rng.standard_normal((labels, 4)), b=rng.standard_normal(labels))
+        batch = patch_probs(feats, head)
+        assert len(batch) == n_bags
+        for f, got in zip(feats, batch):
+            want = patch_probs(f, head)
+            assert got.grid == want.grid == (3, 2)
+            assert got.p.shape == want.p.shape
+            assert np.array_equal(got.p, want.p)

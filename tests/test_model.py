@@ -202,6 +202,30 @@ class TestCheckpoints:
         with pytest.raises(ShapeMismatchError):
             load_checkpoint(path, other)
 
+    def test_truncated_checkpoint_is_shape_error_at_every_cut(self, tmp_path):
+        model = Model(tiny_cfg(), np.random.default_rng(0))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        before = {k: v.copy() for k, v in model.params.items()}
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(ShapeMismatchError):
+                load_checkpoint(path, model)
+        for k, v in model.params.items():
+            assert np.array_equal(v, before[k]), k
+
+    def test_gabor_bank_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Model(tiny_cfg(sigma=0.5), np.random.default_rng(0)))
+        other = Model(tiny_cfg(sigma=2.0), np.random.default_rng(0))
+        before = {k: v.copy() for k, v in other.params.items()}
+        with pytest.raises(ShapeMismatchError, match="sigma=0.5.*sigma=2"):
+            load_checkpoint(path, other)
+        for k, v in other.params.items():  # nothing was copied
+            assert np.array_equal(v, before[k]), k
+        load_checkpoint(path, Model(tiny_cfg(sigma=0.5), np.random.default_rng(1)))
+
     def test_identity_preserved_for_layer_views(self, tmp_path):
         # loading must write through the same arrays the layer objects hold
         model = Model(tiny_cfg(), np.random.default_rng(6))

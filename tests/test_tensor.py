@@ -139,6 +139,19 @@ class TestSerialization:
         for k in sections:
             np.testing.assert_array_equal(back[k], sections[k])
 
+    def test_truncated_container_raises_value_error_at_every_cut(self, tmp_path):
+        rng = np.random.default_rng(6)
+        p = tmp_path / "c.bin"
+        save_container(p, {"a": rng.standard_normal((2, 3)), "bb": rng.standard_normal(4)})
+        raw = p.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError):
+                load_container(cut)
+        cut.write_bytes(raw)
+        assert set(load_container(cut)) == {"a", "bb"}
+
     def test_csv_roundtrip(self, tmp_path):
         a = np.array([[1.5, -2.25], [0.0, 3.125]])
         p = tmp_path / "m.csv"

@@ -349,3 +349,49 @@ def test_pass_working_set_stays_small():
     peak(16)  # warm caches
     one, sixteen = peak(1), peak(16)
     assert sixteen <= 4 * one, (one, sixteen)
+
+
+# ---------------------------------------------------------------------------
+# gradcheck_problem runs both bags as one pass: equal to the per-image loop.
+# ---------------------------------------------------------------------------
+
+GRADCHECK_CONFIGS = {
+    "mil": ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=2, H=3),
+    "miml": ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=2, H=3, task="miml", n_labels=3),
+}
+
+
+def gradcheck_bags(cfg, seed, image_size=8):
+    """The problem's two images, labels and weights, drawn as gradcheck_problem draws them."""
+    rng = np.random.default_rng(seed)
+    Model(cfg, rng)
+    images = 3.0 * rng.random((2, cfg.in_channels, image_size, image_size))
+    if cfg.task == "mil":
+        return images, [1, 0], {0: 2.0, 1: 3.0}
+    n = cfg.n_labels
+    return images, [[1] + [0] * (n - 1), [0] * (n - 1) + [1]], None
+
+
+@pytest.mark.parametrize("mode", ["exact", "paper"])
+@pytest.mark.parametrize("task", sorted(GRADCHECK_CONFIGS))
+def test_gradcheck_problem_equals_per_image_loop(task, mode):
+    cfg = GRADCHECK_CONFIGS[task]
+    model, loss_and_grads, loss_only = gradcheck_problem(cfg, seed=3, mode=mode)
+    images, labels, weights = gradcheck_bags(cfg, seed=3)
+
+    assert loss_only() == sum(bag_loss(cfg, model.forward(img)[0], y, weights)[0]
+                              for img, y in zip(images, labels))
+
+    ref_total = 0.0
+    ref = {k: np.zeros_like(v) for k, v in model.params.items()}
+    for img, y in zip(images, labels):
+        probs, cache = model.forward(img)
+        loss, gp = bag_loss(cfg, probs, y, weights)
+        ref_total += loss
+        for k, g in model.backward(cache, gp[0], mode=mode).items():
+            ref[k] += g
+    total, grads = loss_and_grads()
+    assert total == ref_total
+    assert grads.keys() == ref.keys()
+    for k, g in grads.items():
+        assert np.array_equal(g, ref[k]), k
