@@ -20,6 +20,7 @@ from .mil import (MILHead, PatchProbabilities, bag_prob, class_weights,
                   weighted_mil_loss)
 from .model import Model, ModelConfig, matched_plain_config, total_params
 from .tensor import conv2d, conv2d_naive, load_container, load_tensor, save_container, save_tensor, zeros
-from .train import OptimizerConfig, adam_step, grad_check, sgd_step, train_model
+from .train import (OptimizerConfig, adam_step, fd_grad, grad_check, rel_err, sgd_step,
+                    train_model)
 
 __version__ = "0.1.0"

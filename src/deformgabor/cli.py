@@ -18,7 +18,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .data import build_bags, deform_transform, gen_bag, salt_noise, write_manifest
 from .gabor import make_bank
 from .ioutils import save_pgm
-from .metrics import accuracy, auc, write_auc_report
+from .metrics import accuracy, auc
 from .mil import save_heatmap
 from .model import (Model, ModelConfig, ShapeMismatchError, load_checkpoint,
                     matched_plain_config, param_table, total_params)
@@ -53,15 +53,15 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
     model, loss_and_grads, loss_only = gradcheck_problem(tiny, seed=cfg.optimizer.seed,
                                                          mode=cfg.run.mode)
     report = grad_check(loss_and_grads, loss_only, model.params)
+    # a NaN error compares False and so fails too
+    status = {name: "ok" if err < GRADCHECK_TOLERANCE else "FAIL" for name, err in report.items()}
     out = _out_dir(args, cfg)
-    failing = [name for name, err in report.items() if err >= GRADCHECK_TOLERANCE]
     with open(os.path.join(out, "gradcheck_report.csv"), "w") as fh:
         fh.write("block,max_rel_error,status\n")
         for name, err in report.items():
-            status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
-            fh.write(f"{name},{err:.3e},{status}\n")
-    for name, err in report.items():
-        print(f"{name}: {err:.3e} {'ok' if err < GRADCHECK_TOLERANCE else 'FAIL'}")
+            fh.write(f"{name},{err:.3e},{status[name]}\n")
+            print(f"{name}: {err:.3e} {status[name]}")
+    failing = [name for name, s in status.items() if s == "FAIL"]
     if failing:
         print(f"gradcheck failed ({cfg.run.mode} mode): {', '.join(failing)}", file=sys.stderr)
         return 1
@@ -88,20 +88,26 @@ def cmd_params(args, cfg: RunConfig) -> int:
 
 def _check_classes(split: str, bags, needs: str) -> None:
     """A split of one class ends as a config error: `needs` names what needs both."""
-    labels = np.asarray([np.atleast_1d(y) for _, y in bags] or [[-1]])  # empty: no class
-    for c in range(labels.shape[1]):
-        for y in (0, 1):
-            if not np.any(labels[:, c] == y):
-                label = f"label {c} of " if labels.shape[1] > 1 else ""
-                raise ConfigError(
-                    f"the {split} split ({len(bags)} bags) has no bag of {label}class {y}, "
-                    f"and {needs} needs both classes; change data.positive_fraction "
-                    f"or data.n_{split}")
+    present = {y for _, y in bags}
+    for y in (0, 1):
+        if y not in present:
+            raise ConfigError(
+                f"the {split} split ({len(bags)} bags) has no bag of class {y}, "
+                f"and {needs} needs both classes; change data.positive_fraction "
+                f"or data.n_{split}")
+
+
+def _check_single_label(cfg: RunConfig) -> None:
+    """train and eval run on the synthetic bags, which carry one label each."""
+    if cfg.model.task != "mil":
+        raise ConfigError(f"model.task={cfg.model.task} needs multi-label bags, and the "
+                          "synthetic dataset has one label per bag; train and eval take task=mil")
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
     from .data import AugmentConfig
 
+    _check_single_label(cfg)
     train, val, _ = _splits(cfg)
     _check_classes("train", train, "the class weighting")
     _check_classes("val", val, "the validation AUC")
@@ -141,6 +147,7 @@ def _corrupted_test_set(test, cfg: RunConfig, corrupt: str):
 def cmd_eval(args, cfg: RunConfig) -> int:
     from .train import evaluate
 
+    _check_single_label(cfg)
     out = _out_dir(args, cfg)
     model = Model(cfg.model, np.random.default_rng(cfg.optimizer.seed))
     load_checkpoint(args.checkpoint, model)
@@ -148,25 +155,15 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     test = _corrupted_test_set(test, cfg, args.corrupt)
 
     scores, labels, _ = evaluate(model, test)
-    if cfg.model.task == "mil":
-        a = auc(scores, labels)
-        acc = accuracy(scores, labels)
-        with open(os.path.join(out, "metrics.csv"), "w") as fh:
-            fh.write(f"metric,value\nauc,{a:.6f}\naccuracy,{acc:.6f}\n")
-        print(f"auc {a:.4f}  accuracy {acc:.4f}  ({len(test)} bags, corrupt={args.corrupt})")
-    else:
-        labels = np.asarray(labels)
-        per_class = [auc(scores[:, c], labels[:, c]) for c in range(scores.shape[1])]
-        names = [f"label_{c}" for c in range(scores.shape[1])]
-        text = write_auc_report(os.path.join(out, "metrics.csv"), names, per_class)
-        print(text)
+    a = auc(scores, labels)
+    acc = accuracy(scores, labels)
+    with open(os.path.join(out, "metrics.csv"), "w") as fh:
+        fh.write(f"metric,value\nauc,{a:.6f}\naccuracy,{acc:.6f}\n")
+    print(f"auc {a:.4f}  accuracy {acc:.4f}  ({len(test)} bags, corrupt={args.corrupt})")
 
     for i in range(min(cfg.run.heatmaps, len(test))):
         probs, _ = model.forward(test[i][0])
-        if cfg.model.task == "mil":
-            save_heatmap(os.path.join(out, f"heatmap_bag{i}"), probs)
-        else:
-            save_heatmap(os.path.join(out, f"heatmap_bag{i}"), probs, channel=0)
+        save_heatmap(os.path.join(out, f"heatmap_bag{i}"), probs)
     print(f"wrote metrics and {min(cfg.run.heatmaps, len(test))} heatmaps to {out}")
     return 0
 

@@ -10,6 +10,7 @@ fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 
 from .data import SynthLesionSpec
@@ -41,6 +42,14 @@ class DataConfig:
     augment: bool = False
     deform_variants: int = 5     # deformed copies per test bag in the deform protocol
     noise_prob: float = 0.01
+
+    def __post_init__(self):
+        for low, high in (("lesion_min", "lesion_max"), ("radius_min", "radius_max")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"{low} must be <= {high}, got {getattr(self, low)} "
+                                 f"> {getattr(self, high)}")
+        if not 0.0 <= self.noise_prob <= 1.0:
+            raise ValueError(f"noise_prob must lie in [0, 1], got {self.noise_prob}")
 
     def lesion_spec(self) -> SynthLesionSpec:
         return SynthLesionSpec(
@@ -109,6 +118,7 @@ _SCHEMA = {
 
 
 def _coerce(section: str, key: str, raw, default):
+    """Parse raw as the type of default; a default of "auto" takes "auto" or a number."""
     if isinstance(raw, str):
         raw = raw.strip()
     try:
@@ -122,11 +132,14 @@ def _coerce(section: str, key: str, raw, default):
             raise ValueError(raw)
         if isinstance(default, int):
             return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return str(raw)
+        if isinstance(default, str) and (default != "auto" or raw == "auto"):
+            return str(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_widths(text: str):
@@ -178,8 +191,8 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             U=m["orientations"],
             V=m["mask_count"],
             H=m["kernel_size"],
-            sigma=None if m["sigma"] == "auto" else float(m["sigma"]),
-            lam=None if m["lambda"] == "auto" else float(m["lambda"]),
+            sigma=None if m["sigma"] == "auto" else m["sigma"],
+            lam=None if m["lambda"] == "auto" else m["lambda"],
             task=m["task"],
             n_labels=m["n_labels"],
         )

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deform import _gather, _interp
-from .ioutils import load_pgm
-from .tensor import as_tensor, load_csv
+from .tensor import as_tensor
 
 __all__ = [
     "SynthLesionSpec",
@@ -32,7 +31,6 @@ __all__ = [
     "augment",
     "write_manifest",
     "read_manifest",
-    "load_image_dir",
 ]
 
 STRIPE_WAVELENGTH = 4.0  # pixels, at generation scale
@@ -178,7 +176,7 @@ def augment(image: np.ndarray, cfg: AugmentConfig = AugmentConfig(), seed: int =
 
 
 # ---------------------------------------------------------------------------
-# Manifests and user-supplied images.
+# Manifests.
 # ---------------------------------------------------------------------------
 
 def write_manifest(path, entries) -> None:
@@ -198,24 +196,3 @@ def read_manifest(path):
             raise ValueError(f"{path}: unexpected manifest header {header}")
         return [(int(i), int(l), int(s)) for i, l, s in reader]
 
-
-def load_image_dir(directory):
-    """Read user-supplied bags: a labels.csv of (filename, label) plus PGM/CSV images."""
-    import pathlib
-
-    root = pathlib.Path(directory)
-    bags = []
-    with open(root / "labels.csv", newline="") as fh:
-        for row in csv.reader(fh):
-            if row[0] == "filename":
-                continue
-            name, label = row[0], int(row[1])
-            fp = root / name
-            if fp.suffix == ".pgm":
-                img = load_pgm(fp)
-            elif fp.suffix == ".csv":
-                img = load_csv(fp)
-            else:
-                raise ValueError(f"unsupported image format: {name}")
-            bags.append((img[None] if img.ndim == 2 else img, label))
-    return bags

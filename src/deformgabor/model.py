@@ -67,6 +67,11 @@ class ModelConfig:
             raise ValueError(f"kernel_size must be odd and >= 3, got {self.H}")
         if self.U < 1 or self.V < 1:
             raise ValueError(f"orientations and mask_count must be >= 1, got U={self.U}, V={self.V}")
+        if self.in_channels < 1:
+            raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
+        for key, value in (("sigma", self.sigma), ("lambda", self.lam)):
+            if value is not None and not value > 0:
+                raise ValueError(f"{key} must be > 0 or auto, got {value}")
 
     @property
     def n_blocks(self) -> int:
@@ -181,7 +186,7 @@ class Model:
             act = _relu(pre)
             x = _avgpool2(act)
             if keep_cache:
-                caches.append((cfg.block_kind(i), i, block_cache, pre, act.shape))
+                caches.append((i, block_cache, pre))
         feat = x.reshape(x.shape[0], -1, x.shape[-2], x.shape[-1])  # [B, U*M, h, w] if oriented
         probs = patch_probs(feat, self.head)
         return probs, ((caches, feat, probs) if keep_cache else None)
@@ -208,12 +213,12 @@ class Model:
                                      for _, gb, _ in head_grads])}
         g = np.stack([gf for _, _, gf in head_grads])
         pad = (self.cfg.H - 1) // 2
-        for kind, i, block_cache, pre, act_shape in reversed(caches):
-            if g.ndim < len(act_shape):  # arrived flattened from the head
-                g = g.reshape(act_shape[:2] + (-1,) + g.shape[-2:])
-            g = _avgpool2_backward(g, act_shape)
+        for i, block_cache, pre in reversed(caches):
+            if g.ndim < pre.ndim:  # arrived flattened from the head
+                g = g.reshape(pre.shape[:2] + (-1,) + g.shape[-2:])
+            g = _avgpool2_backward(g, pre.shape)
             g = g * (pre > 0)
-            if kind == "plain":
+            if self.cfg.block_kind(i) == "plain":
                 g, gw = conv2d_backward(g, block_cache, self.params[f"block{i}.weight"],
                                         stride=1, pad=pad, need_input=i > 0)
                 grads[f"block{i}.weight"] = gw
@@ -295,14 +300,14 @@ def save_checkpoint(path, model: Model) -> None:
 def load_checkpoint(path, model: Model) -> None:
     """Copy saved parameters into an already-configured model, strict on shapes.
 
-    A file that cannot be read as a container, or whose Gabor bank differs
+    A file that cannot be opened as a container, or whose Gabor bank differs
     from the model's (U, H, sigma and lambda exactly, the filters to 1e-12,
     which allows for a different libm), raises ShapeMismatchError like a
     missing or misshapen parameter. Nothing is copied unless all checks pass.
     """
     try:
         sections = load_container(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ShapeMismatchError(f"cannot read checkpoint {path}: {exc}") from None
     for name, arr in model.params.items():
         if name not in sections:

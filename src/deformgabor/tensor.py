@@ -59,11 +59,6 @@ def as_tensor(data) -> np.ndarray:
     return np.ascontiguousarray(data, dtype=np.float64)
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError(f"{what} contains non-finite values")
-
-
 def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     span = size + 2 * pad - k
     if span < 0 or span % stride != 0:

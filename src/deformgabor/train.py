@@ -13,8 +13,12 @@ shares them among its bags. Four bags per pass take most of that gain
 while a step's peak memory stays that of four bags; larger passes gain
 little more per bag, and one pass of 16 is slower than four of four,
 its working set spilling the L2 cache. The model returns per-bag
-gradients and they are added up in bag order, so a step's loss and
-gradients equal those of a bag-by-bag loop bit for bit.
+gradients and they are added in bag order into zeroed accumulators, so a
+step's loss and gradients equal those of a bag-by-bag loop bit for bit.
+
+`grad_check` composes the two finite-difference primitives the tests use
+too, `fd_grad` and `rel_err`; a non-finite loss or gradient reads as a
+NaN error, which no tolerance passes.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ __all__ = [
     "NumericsError",
     "sgd_step",
     "adam_step",
+    "fd_grad",
+    "rel_err",
     "grad_check",
     "gradcheck_problem",
     "batch_loss_and_grads",
@@ -69,6 +75,8 @@ class OptimizerConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.lr_decay_every < 1:
+            raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if self.lr_masks < 0:
             raise ValueError("mask learning rate must be >= 0")
         if self.lr_filters <= 0:
@@ -128,33 +136,54 @@ def optimizer_step(params, grads, state, cfg: OptimizerConfig, lr_scale: float =
 # Gradient verification.
 # ---------------------------------------------------------------------------
 
+def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Central finite differences of the scalar f() with respect to the array x.
+
+    Entry by entry, x is moved up by eps, then down, and restored; f reads
+    x itself. x must be C-contiguous: a flat view of any other layout is a
+    copy, the moves would never reach f, and every difference would be 0.
+    """
+    if not isinstance(x, np.ndarray) or not x.flags.c_contiguous:
+        raise ValueError("fd_grad perturbs x in place and needs a C-contiguous array")
+    g = np.zeros_like(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    gflat = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        up = f()
+        flat[i] = orig - eps
+        down = f()
+        flat[i] = orig
+        gflat[i] = (up - down) / (2 * eps)
+    return g
+
+
+def rel_err(a, b, floor: float = 1e-8) -> float:
+    """Largest |a - b| / max(|a|, |b|, floor) over the entries of two equal-shape arrays.
+
+    NaN when any entry is not finite, so a non-finite gradient never passes.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"rel_err compares equal shapes, got {a.shape} and {b.shape}")
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return float(np.max(np.abs(a - b) / denom))
+
+
 def grad_check(loss_and_grads, loss_only, params: dict, eps: float = 1e-5) -> dict:
     """Central finite differences against analytic gradients, per parameter block.
 
     `loss_and_grads()` returns (loss, grads dict) at the current parameter
     values; `loss_only()` just the loss. Parameters are perturbed in place
-    and restored. Returns {name: max relative error}; never raises on
+    and restored (`fd_grad`). Returns {name: max relative error (`rel_err`)},
+    NaN where a loss or gradient is not finite; never raises on
     disagreement, only reports.
     """
     _, analytic = loss_and_grads()
-    report = {}
-    for name, p in params.items():
-        a = analytic[name]
-        worst = 0.0
-        flat = p.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss_only()
-            flat[i] = orig - eps
-            down = loss_only()
-            flat[i] = orig
-            fd = (up - down) / (2 * eps)
-            ai = float(a.reshape(-1)[i])
-            rel = abs(ai - fd) / max(abs(ai), abs(fd), 1e-8)
-            worst = max(worst, rel)
-        report[name] = worst
-    return report
+    return {name: rel_err(analytic[name], fd_grad(loss_only, p, eps))
+            for name, p in params.items()}
 
 
 def gradcheck_problem(model_cfg, seed: int = 0, image_size: int = 8, mode: str = "exact"):
@@ -202,7 +231,7 @@ def gradcheck_problem(model_cfg, seed: int = 0, image_size: int = 8, mode: str =
     def loss_and_grads(mode=mode):
         acc = {k: np.zeros_like(v) for k, v in model.params.items()}
         total = 0.0
-        for loss in _add_pass(model, images, labels, weights, mode, acc, fresh=False):
+        for loss in _add_pass(model, images, labels, weights, mode, acc):
             total += loss
         return total, acc
 
@@ -241,17 +270,11 @@ def _bag_loss(model: Model, probs, y, weights):
     return loss, grads_p[0]
 
 
-def _add_pass(model: Model, images, labels, weights, mode: str, acc: dict, fresh: bool):
-    """Run one pass and add its bags' gradients into acc in bag order; returns their losses.
-
-    fresh: acc holds no bag yet, so the first bag's gradients are copied in.
-    """
+def _add_pass(model: Model, images, labels, weights, mode: str, acc: dict):
+    """Run one pass and add its bags' gradients into acc in bag order; returns their losses."""
     probs, cache = model.forward_batch(np.stack(images))
     losses, grads_p = zip(*(_bag_loss(model, p, y, weights) for p, y in zip(probs, labels)))
     for name, per_bag in model.backward_batch(cache, grads_p, mode=mode).items():
-        if fresh:
-            np.copyto(acc[name], per_bag[0])
-            per_bag = per_bag[1:]
         for g in per_bag:
             acc[name] += g
     return losses
@@ -265,10 +288,10 @@ def batch_loss_and_grads(model: Model, images, labels, weights, mode: str = "exa
     """
     n = len(images)
     total = 0.0
-    acc = {name: np.empty_like(p) for name, p in model.params.items()}
-    for k, run in enumerate(_passes(range(n), images)):
+    acc = {name: np.zeros_like(p) for name, p in model.params.items()}
+    for run in _passes(range(n), images):
         for loss in _add_pass(model, [images[i] for i in run], [labels[i] for i in run],
-                              weights, mode, acc, fresh=k == 0):
+                              weights, mode, acc):
             total += loss
     for g in acc.values():
         g /= n

@@ -1,25 +1,1 @@
-import numpy as np
-
-
-def fd_grad(f, x, eps=1e-5):
-    """Central finite differences of scalar f with respect to array x, in place."""
-    x = np.asarray(x)
-    g = np.zeros_like(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        up = f()
-        flat[i] = orig - eps
-        down = f()
-        flat[i] = orig
-        gflat[i] = (up - down) / (2 * eps)
-    return g
-
-
-def rel_err(a, b, floor=1e-8):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom))
+from deformgabor.train import fd_grad, rel_err  # noqa: F401  (test files import them from here)

@@ -107,6 +107,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "masks" in err
 
+    def test_gradcheck_nan_loss_fails(self, tmp_path, monkeypatch, capsys):
+        from deformgabor import cli
+
+        real = cli.gradcheck_problem  # the loss goes NaN, the analytic gradients stay finite
+        monkeypatch.setattr(cli, "gradcheck_problem",
+                            lambda *a, **kw: real(*a, **kw)[:2] + (lambda: float("nan"),))
+        code = main(["gradcheck", "--output", str(tmp_path),
+                     "--set", "model.widths=2-2", "--set", "model.orientations=2",
+                     "--set", "model.mask_count=1"])
+        assert code == 1
+        report = (tmp_path / "gradcheck_report.csv").read_text().splitlines()
+        assert len(report) > 1 and all(row.endswith(",nan,FAIL") for row in report[1:])
+        assert "gradcheck failed" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[model]\nnot_a_key = 1\n")
@@ -114,7 +128,11 @@ class TestCLI:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", ["optimizer.batch_size=0", "model.kernel_size=4",
-                                          "optimizer.epochs=-1"])
+                                          "optimizer.epochs=-1", "model.sigma=0",
+                                          "model.lambda=-1", "model.sigma=nan",
+                                          "model.in_channels=0", "optimizer.lr_decay_every=0",
+                                          "data.lesion_min=3", "data.radius_min=4",
+                                          "data.noise_prob=2", "model.task=miml"])
     def test_invalid_value_exit_code(self, override, tmp_path, capsys):
         assert main(["train", "--output", str(tmp_path)] + FAST + ["--set", override]) == 2
         err = capsys.readouterr().err
@@ -164,6 +182,12 @@ class TestCLI:
         assert main(["eval", "--output", str(out), "--checkpoint", str(ckpt)] + FAST) == 4
         err = capsys.readouterr().err
         assert err.startswith("shape error: ") and err.count("\n") == 1, err
+
+    def test_eval_missing_checkpoint_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ckpt"
+        assert main(["eval", "--output", str(tmp_path), "--checkpoint", str(missing)] + FAST) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("shape error: cannot read checkpoint") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("override,split", [("data.positive_fraction=0.0", "train"),
                                                 ("data.n_val=1", "val")])

@@ -3,10 +3,7 @@ import pytest
 
 from deformgabor.data import (AugmentConfig, SynthLesionSpec, augment,
                               build_bags, deform_transform, gen_bag,
-                              load_image_dir, read_manifest, salt_noise,
-                              write_manifest)
-from deformgabor.ioutils import save_pgm
-from deformgabor.tensor import dump_csv
+                              read_manifest, salt_noise, write_manifest)
 
 
 class TestGenBag:
@@ -135,17 +132,3 @@ class TestManifestAndIngestion:
         p = tmp_path / "manifest.csv"
         write_manifest(p, entries)
         assert read_manifest(p) == entries
-
-    def test_load_image_dir(self, tmp_path):
-        rng = np.random.default_rng(7)
-        a = rng.random((6, 6))
-        b = rng.random((6, 6))
-        save_pgm(tmp_path / "a.pgm", a, lo=0.0, hi=1.0)
-        dump_csv(tmp_path / "b.csv", b)
-        (tmp_path / "labels.csv").write_text("filename,label\na.pgm,1\nb.csv,0\n")
-        bags = load_image_dir(tmp_path)
-        assert len(bags) == 2
-        img0, y0 = bags[0]
-        assert img0.shape == (1, 6, 6) and y0 == 1
-        np.testing.assert_allclose(img0[0], a, atol=1 / 255)
-        np.testing.assert_array_equal(bags[1][0][0], b)

@@ -7,8 +7,8 @@ from deformgabor.data import SynthLesionSpec, build_bags
 from deformgabor.mil import bag_prob, class_weights, miml_class_weights, miml_loss, weighted_mil_loss
 from deformgabor.model import Model, ModelConfig, matched_plain_config
 from deformgabor.train import (NumericsError, OptimizerConfig, adam_step,
-                               batch_loss_and_grads, evaluate, grad_check,
-                               gradcheck_problem, sgd_step, train_model)
+                               batch_loss_and_grads, evaluate, fd_grad, grad_check,
+                               gradcheck_problem, rel_err, sgd_step, train_model)
 
 
 def cfg9(**kw):
@@ -105,6 +105,29 @@ class TestGradCheck:
 
         report = grad_check(loss_and_grads, loss_only, params)
         assert report["w"] < 1e-9
+
+    @pytest.mark.parametrize("where", ["loss", "gradient"])
+    def test_non_finite_reports_nan(self, where):
+        a = np.arange(1.0, 13.0).reshape(3, 4)
+        params = {"w": np.ones((3, 4))}
+        analytic = a.copy()
+        if where == "gradient":
+            analytic[1, 2] = np.nan
+
+        def loss_only():
+            return np.nan if where == "loss" else float(np.sum(a * params["w"]))
+
+        report = grad_check(lambda: (loss_only(), {"w": analytic}), loss_only, params)
+        assert np.isnan(report["w"])
+
+    def test_fd_grad_rejects_non_contiguous(self):
+        x = np.ones((3, 4))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fd_grad(lambda: float(np.sum(x)), x.T)
+
+    def test_rel_err_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="equal shapes"):
+            rel_err(np.ones(3), np.ones((1, 3)))
 
     def test_tiny_stack_all_blocks_pass(self):
         cfg = ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=1, H=3)
