@@ -50,6 +50,8 @@ class DataConfig:
                                  f"> {getattr(self, high)}")
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ValueError(f"noise_prob must lie in [0, 1], got {self.noise_prob}")
+        if self.deform_variants < 1:
+            raise ValueError(f"deform_variants must be >= 1, got {self.deform_variants}")
 
     def lesion_spec(self) -> SynthLesionSpec:
         return SynthLesionSpec(
@@ -69,6 +71,12 @@ class RunSettings:
     output: str = ""             # empty: use $DEFORMGABOR_OUT or ./runs
     mode: str = "exact"          # backward mode: exact or paper
     heatmaps: int = 4            # bags to export heatmaps for during eval
+
+    def __post_init__(self):
+        if self.mode not in ("exact", "paper"):
+            raise ValueError(f"run.mode must be exact or paper, got {self.mode!r}")
+        if self.heatmaps < 0:
+            raise ValueError(f"heatmaps must be >= 0, got {self.heatmaps}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +207,6 @@ def parse_config(path=None, overrides=()) -> RunConfig:
         optimizer = OptimizerConfig(**values["optimizer"])
         data = DataConfig(**values["data"])
         run = RunSettings(**values["run"])
-        if run.mode not in ("exact", "paper"):
-            raise ValueError(f"run.mode must be exact or paper, got {run.mode!r}")
         data.lesion_spec()  # validates the dataset recipe
     except ConfigError:
         raise

@@ -17,15 +17,17 @@ stages:
      "same"-padded convolution with the mask-modulated orientation
      filters, restoring U orientation slices.
 
-Both stages run as im2col contractions: each is a reshape of the
-sampled taps or the padded windows into a column matrix and one matrix
-product with the flattened weights.
+Stage 1 is an im2col contraction: the sampled taps already form the
+column matrix, and one matrix product with the modulated filters, rows
+ordered (m, v), gives the intermediate maps as [M, V, Ho, Wo]. Stage 2
+is `tensor.conv2d` (and `tensor.conv2d_backward`) with every output
+channel m of every bag as one batch entry of V planes.
 
 `dgconv_forward_batch`/`dgconv_backward_batch` run the layer on a batch
 of bags, [B, U, N, Hi, Wi] or a shared [B, N, Hi, Wi], with one offset
 field per bag; the weight-only products (stage-1 weights, modulated
-Gabor filters) are formed once per batch. The column matrices keep the
-bag axis, so each contraction is one matrix product per bag on the
+Gabor filters) are formed once per batch. Each contraction is one
+matrix product per bag (per bag and output channel in stage 2) on the
 operands a single image would give, and the parameter gradients come
 back per bag, [B, *param.shape], for the caller to sum in its own
 order. `dgconv_forward`/`dgconv_backward` are the B = 1 case.
@@ -52,7 +54,11 @@ import numpy as np
 from .deform import (OffsetPredictor, predict_offsets, sample_backward,
                      sample_grid, sample_values, zero_predictor)
 from .gabor import GaborBank
-from .tensor import _windows, as_tensor, conv2d_backward
+# The Gabor stage calls `tensor.conv2d`/`tensor.conv2d_backward` through the
+# module, so the bare name `conv2d_backward` here is the offset branch's alone:
+# a probe that patches `layer.conv2d_backward` sees that branch and nothing else.
+from . import tensor
+from .tensor import as_tensor, conv2d_backward
 
 __all__ = [
     "LayerShape",
@@ -175,8 +181,9 @@ def modulate_gabor(bank: GaborBank, S: np.ndarray) -> np.ndarray:
 class DGConvCache:
     """What backward needs of a forward pass.
 
-    The arrays carry a leading bag axis; in the cache `dgconv_forward`
-    returns for one image, flat, offsets, v and e_pad drop it.
+    The arrays carry a leading bag axis, which e folds with the output
+    channels; in the cache `dgconv_forward` returns for one image, flat,
+    offsets and v drop it.
     """
 
     params: DGConvParams
@@ -187,18 +194,19 @@ class DGConvCache:
     offsets: np.ndarray       # [B, 2*H*H, Ho, Wo]
     samples: object           # bilinear corner cache
     v: np.ndarray             # sampled taps [B, C, H*H, Ho, Wo]
-    e_pad: np.ndarray         # padded intermediate maps [B, V, M, Ho+H-1, Wo+H-1]
+    e: np.ndarray             # intermediate maps, stage 2's input [B*M, V, Ho, Wo]
     out_grid: tuple
 
 
 def _bag_views(cache: DGConvCache, pick) -> DGConvCache:
     """The cache with `pick` (drop or add the bag axis) applied to its per-bag arrays."""
-    return replace(cache, flat=pick(cache.flat), offsets=pick(cache.offsets),
-                   v=pick(cache.v), e_pad=pick(cache.e_pad))
+    return replace(cache, flat=pick(cache.flat), offsets=pick(cache.offsets), v=pick(cache.v))
 
 
 def _stage1_weights(p: DGConvParams, shared: bool):
-    """Filters [M, C, H*H] and offset weights [2*H*H, C, H, H] over stage 1's C planes.
+    """Stage 1's weights over its C planes: filters c_flat [M, C, H*H], the
+    mask-modulated filters [M*V, C*H*H] with rows in (m, v) order, and the
+    offset weights [2*H*H, C, H, H].
 
     Unshared, C = U*N in u-major order, matching the [U, N] -> U*N input
     flattening. Shared, C = N: every orientation reads the same plane, so
@@ -207,17 +215,13 @@ def _stage1_weights(p: DGConvParams, shared: bool):
     m, n, u, h, _ = p.conv_filters.shape
     w_off = p.offset_pred.weight
     if shared:
-        return (p.conv_filters.sum(axis=2).reshape(m, n, h * h),
-                w_off.reshape(w_off.shape[0], u, n, h, h).sum(axis=1))
-    c_flat = np.ascontiguousarray(p.conv_filters.transpose(0, 2, 1, 3, 4)).reshape(m, u * n, h * h)
-    return c_flat, w_off
-
-
-def _gabor_columns(e_pad: np.ndarray, h: int, out_grid: tuple) -> np.ndarray:
-    """im2col of the padded intermediate maps, per bag: [B, V*H*H, M*Ho*Wo]."""
-    b, v_cnt, m = e_pad.shape[:3]
-    win = _windows(e_pad, h, h, *out_grid).transpose(0, 1, 3, 4, 2, 5, 6)  # [B, V, H, H, M, Ho, Wo]
-    return win.reshape(b, v_cnt * h * h, m * out_grid[0] * out_grid[1])
+        c_flat = p.conv_filters.sum(axis=2).reshape(m, n, h * h)
+        w_off = w_off.reshape(w_off.shape[0], u, n, h, h).sum(axis=1)
+    else:
+        c_flat = np.ascontiguousarray(
+            p.conv_filters.transpose(0, 2, 1, 3, 4)).reshape(m, u * n, h * h)
+    w_mod = c_flat[:, None] * p.masks.reshape(-1, 1, h * h)  # [M, V, C, H*H]
+    return c_flat, w_mod.reshape(m * w_mod.shape[1], -1), w_off
 
 
 def dgconv_forward(x: np.ndarray, p: DGConvParams, stride: int = 1, pad: int = 0):
@@ -256,32 +260,26 @@ def dgconv_forward_batch(x: np.ndarray, p: DGConvParams, stride: int = 1, pad: i
         raise ValueError(f"input has N={n} channels but filters expect N={n_p}")
     if p.gabor.U != u or p.gabor.H != h:
         raise ValueError("orientation bank does not match the layer")
-    v_cnt = p.masks.shape[0]
 
     flat = x if shared else x.reshape(b, u * n, hi, wi)
-    c_flat, w_off = _stage1_weights(p, shared)
+    _, w_mod, w_off = _stage1_weights(p, shared)
     offsets = predict_offsets(flat, OffsetPredictor(w_off, p.offset_pred.bias),
                               stride=stride, pad=pad)
     samples = sample_grid(flat, offsets, h, stride=stride, pad=pad)
     vals = sample_values(samples)  # [B, C, H*H, Ho, Wo]
     ho, wo = vals.shape[-2:]
 
-    # deformable stage, all V mask variants at once: [V*M, C*H*H] @ [B, C*H*H, Ho*Wo]
-    s_flat = p.masks.reshape(v_cnt, h * h)
-    w_mod = (s_flat[:, None, None, :] * c_flat[None]).reshape(v_cnt * m, -1)
-    e = (w_mod @ vals.reshape(b, w_mod.shape[1], ho * wo)).reshape(b, v_cnt, m, ho, wo)
+    # deformable stage, all V mask variants at once: [M*V, C*H*H] @ [B, C*H*H, Ho*Wo]
+    e = (w_mod @ vals.reshape(b, w_mod.shape[1], ho * wo)).reshape(b * m, -1, ho, wo)
 
-    # Gabor stage: [U, V*H*H] @ [B, V*H*H, M*Ho*Wo]
-    p2 = (h - 1) // 2
-    e_pad = np.zeros((b, v_cnt, m, ho + 2 * p2, wo + 2 * p2))
-    e_pad[..., p2:p2 + ho, p2:p2 + wo] = e
-    ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3).reshape(u, v_cnt * h * h)
-    y = (ghat @ _gabor_columns(e_pad, h, (ho, wo))).reshape(b, u, m, ho, wo)
+    # Gabor stage: each bag's output channel m is one batch entry of V planes
+    ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3)  # [U, V, H, H]
+    y = tensor.conv2d(e, ghat, pad=(h - 1) // 2).reshape(b, m, u, ho, wo)
 
     cache = DGConvCache(params=p, stride=stride, pad=pad, in_shape=x.shape[1:],
                         flat=flat, offsets=offsets, samples=samples, v=vals,
-                        e_pad=e_pad, out_grid=(ho, wo))
-    return y, cache
+                        e=e, out_grid=(ho, wo))
+    return np.ascontiguousarray(y.transpose(0, 2, 1, 3, 4)), cache
 
 
 def dgconv_backward(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact") -> dict:
@@ -298,31 +296,6 @@ def dgconv_backward(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact")
     grads = dgconv_backward_batch(as_tensor(grad_y)[None], _bag_views(cache, lambda a: a[None]),
                                   mode=mode)
     return {name: g[0] for name, g in grads.items()}
-
-
-def _gabor_stage_backward(grad_y: np.ndarray, cache: DGConvCache):
-    """Gabor stage: (grad_ghat [B, V, U, H, H], grad_e [B, V*M, Ho*Wo]).
-
-    The weight gradient comes from the columns, the maps' gradient from
-    col2im. Kept apart so that its column buffers are freed before the
-    deformable stage's backward allocates its own.
-    """
-    p = cache.params
-    b, u, m = grad_y.shape[:3]
-    v_cnt, h = p.masks.shape[0], p.masks.shape[1]
-    ho, wo = cache.out_grid
-    p2 = (h - 1) // 2
-    ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3).reshape(u, v_cnt * h * h)
-    gy2 = grad_y.reshape(b, u, m * ho * wo)
-    cols = _gabor_columns(cache.e_pad, h, (ho, wo))
-    grad_ghat = (gy2 @ cols.transpose(0, 2, 1)).reshape(b, u, v_cnt, h, h)
-    gcols = (ghat.T @ gy2).reshape(b, v_cnt, h, h, m, ho, wo)
-    grad_e_pad = np.zeros_like(cache.e_pad)
-    for k in range(h):
-        for l in range(h):
-            grad_e_pad[..., k:k + ho, l:l + wo] += gcols[:, :, k, l]
-    grad_e = grad_e_pad[..., p2:p2 + ho, p2:p2 + wo].reshape(b, v_cnt * m, ho * wo)
-    return grad_ghat.transpose(0, 2, 1, 3, 4), grad_e
 
 
 def dgconv_backward_batch(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact",
@@ -344,17 +317,23 @@ def dgconv_backward_batch(grad_y: np.ndarray, cache: DGConvCache, mode: str = "e
     if grad_y.shape != (b, u, m, ho, wo):
         raise ValueError(f"grad_y shape {grad_y.shape} does not match cached forward")
     shared = len(cache.in_shape) == 3
-    c_flat, w_off = _stage1_weights(p, shared)
+    c_flat, w_mod, w_off = _stage1_weights(p, shared)
     cin = c_flat.shape[1]
 
     g = p.gabor.filters
     s_flat = p.masks.reshape(v_cnt, h * h)
-    grad_ghat, grad_e = _gabor_stage_backward(grad_y, cache)
+
+    # Gabor stage on the forward's batch of B*M entries; the filters' gradient sums over m
+    ghat = modulate_gabor(p.gabor, p.masks).transpose(1, 0, 2, 3)  # [U, V, H, H]
+    grad_e, grad_ghat = tensor.conv2d_backward(
+        grad_y.transpose(0, 2, 1, 3, 4).reshape(b * m, u, ho, wo), cache.e, ghat,
+        pad=(h - 1) // 2)
+    grad_ghat = grad_ghat.reshape(b, m, u, v_cnt, h, h).sum(axis=1)  # [B, U, V, H, H]
 
     # deformable stage
+    grad_e = grad_e.reshape(b, m * v_cnt, ho * wo)
     vals = cache.v.reshape(b, cin * h * h, ho * wo)
-    grad_wfull = (grad_e @ vals.transpose(0, 2, 1)).reshape(b, v_cnt, m, cin, h * h)
-    w_mod = (s_flat[:, None, None, :] * c_flat[None]).reshape(v_cnt * m, -1)
+    grad_wfull = (grad_e @ vals.transpose(0, 2, 1)).reshape(b, m, v_cnt, cin, h * h)
     grad_samples = (w_mod.T @ grad_e).reshape(b, cin, h * h, ho, wo)
     grad_flat, grad_offsets = sample_backward(cache.samples, grad_samples, need_input)
 
@@ -368,12 +347,12 @@ def dgconv_backward_batch(grad_y: np.ndarray, cache: DGConvCache, mode: str = "e
         grad_input = (grad_flat + grad_flat_off).reshape((b,) + tuple(cache.in_shape))
 
     if mode == "exact":
-        grad_c_flat = (grad_wfull * s_flat[:, None, None, :]).sum(axis=1)
-        grad_s = ((grad_ghat * g).sum(axis=2)
-                  + (grad_wfull * c_flat[None]).sum(axis=(2, 3)).reshape(b, v_cnt, h, h))
+        grad_c_flat = (grad_wfull * s_flat[:, None]).sum(axis=2)
+        grad_s = ((grad_ghat * g[:, None]).sum(axis=1)
+                  + (grad_wfull * c_flat[:, None]).sum(axis=(1, 3)).reshape(b, v_cnt, h, h))
     else:
-        grad_c_flat = grad_wfull.sum(axis=1) * s_flat.sum(axis=0)
-        grad_s = grad_ghat.sum(axis=2) * g.sum(axis=0)
+        grad_c_flat = grad_wfull.sum(axis=2) * s_flat.sum(axis=0)
+        grad_s = grad_ghat.sum(axis=1) * g.sum(axis=0)
 
     if shared:  # every orientation's copy of a weight gets the shared plane's gradient
         grad_c = np.repeat(grad_c_flat.reshape(b, m, n, 1, h, h), u, axis=3)

@@ -69,6 +69,8 @@ class ModelConfig:
             raise ValueError(f"orientations and mask_count must be >= 1, got U={self.U}, V={self.V}")
         if self.in_channels < 1:
             raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
+        if self.n_labels < 1:
+            raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
         for key, value in (("sigma", self.sigma), ("lambda", self.lam)):
             if value is not None and not value > 0:
                 raise ValueError(f"{key} must be > 0 or auto, got {value}")

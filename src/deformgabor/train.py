@@ -77,6 +77,8 @@ class OptimizerConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr_decay_every < 1:
             raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
+        if self.plateau_patience < 1:
+            raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if self.lr_masks < 0:
             raise ValueError("mask learning rate must be >= 0")
         if self.lr_filters <= 0:

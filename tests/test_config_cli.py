@@ -132,13 +132,25 @@ class TestCLI:
                                           "model.lambda=-1", "model.sigma=nan",
                                           "model.in_channels=0", "optimizer.lr_decay_every=0",
                                           "data.lesion_min=3", "data.radius_min=4",
-                                          "data.noise_prob=2", "model.task=miml"])
+                                          "data.noise_prob=2", "model.task=miml",
+                                          "model.n_labels=0",
+                                          "optimizer.plateau_patience=0"])
     def test_invalid_value_exit_code(self, override, tmp_path, capsys):
         assert main(["train", "--output", str(tmp_path)] + FAST + ["--set", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert override.split(".")[1].split("=")[0] in err
         assert not (tmp_path / "initial.ckpt").exists()
+
+    @pytest.mark.parametrize("override", ["data.deform_variants=0", "run.heatmaps=-1"])
+    def test_eval_invalid_value_exit_code(self, override, tmp_path, capsys):
+        # the checkpoint does not exist: the value is rejected before it is read
+        args = ["eval", "--output", str(tmp_path), "--checkpoint", str(tmp_path / "x.ckpt"),
+                "--corrupt", "deform"]
+        assert main(args + FAST + ["--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert override.split(".")[1].split("=")[0] in err
 
     def test_params_breakdown(self, capsys):
         assert main(["params", "--set", "model.widths=8-8", "--set", "model.orientations=4",

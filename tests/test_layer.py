@@ -108,6 +108,17 @@ def stagewise_oracle(x, p, stride, pad):
     return out
 
 
+# Layer shapes past the M = 1, H = 3 cases: several output channels make
+# the (m, v) order of the modulated filters and the Gabor stage's sum over
+# m visible, with 5x5 kernels and with a single orientation and mask.
+WIDER_SHAPES = [dict(U=4, V=3, N=2, M=2, H=3), dict(U=2, V=2, N=1, M=3, H=5),
+                dict(U=1, V=1, N=2, M=2, H=5)]
+
+
+def shape_id(dims):
+    return "-".join(f"{k}{v}" for k, v in dims.items())
+
+
 class TestForward:
     def test_plain_conv_reduction(self):
         # masks at one, zero offsets, single orientation, identity Gabor kernel
@@ -133,12 +144,14 @@ class TestForward:
         y, _ = dgconv_forward(x, p, stride=1, pad=1)
         np.testing.assert_allclose(y, stagewise_oracle(x, p, 1, 1), atol=1e-12)
 
-    def test_stagewise_oracle_wider(self):
+    @pytest.mark.parametrize("dims", WIDER_SHAPES, ids=shape_id)
+    def test_stagewise_oracle_wider(self, dims):
         rng = np.random.default_rng(9)
-        p = small_layer(rng, U=4, V=3, N=2, M=2, H=3)
-        x = rng.standard_normal((4, 2, 6, 6))
-        y, _ = dgconv_forward(x, p, stride=1, pad=1)
-        np.testing.assert_allclose(y, stagewise_oracle(x, p, 1, 1), atol=1e-12)
+        p = small_layer(rng, **dims)
+        x = rng.standard_normal((dims["U"], dims["N"], 6, 6))
+        pad = (dims["H"] - 1) // 2
+        y, _ = dgconv_forward(x, p, stride=1, pad=pad)
+        np.testing.assert_allclose(y, stagewise_oracle(x, p, 1, pad), atol=1e-12)
 
     def test_fresh_layer_is_non_deformable(self):
         rng = np.random.default_rng(10)
@@ -175,17 +188,20 @@ class TestBackward:
             for g in grads.values():
                 assert not g.any()
 
-    def test_exact_gradients_finite_differences(self):
+    @pytest.mark.parametrize("dims", [dict(U=2, V=2, N=1, M=1, H=3)] + WIDER_SHAPES[1:],
+                             ids=shape_id)
+    def test_exact_gradients_finite_differences(self, dims):
         rng = np.random.default_rng(14)
-        p = small_layer(rng, U=2, V=2, N=1, M=1, H=3)
-        x = rng.standard_normal((2, 1, 6, 6))
-        gy = rng.standard_normal((2, 1, 6, 6))
+        p = small_layer(rng, **dims)
+        x = rng.standard_normal((dims["U"], dims["N"], 6, 6))
+        gy = rng.standard_normal((dims["U"], dims["M"], 6, 6))
+        pad = (dims["H"] - 1) // 2
 
         def loss():
-            y, _ = dgconv_forward(x, p, stride=1, pad=1)
+            y, _ = dgconv_forward(x, p, stride=1, pad=pad)
             return float(np.sum(y * gy))
 
-        y, cache = dgconv_forward(x, p, stride=1, pad=1)
+        y, cache = dgconv_forward(x, p, stride=1, pad=pad)
         grads = dgconv_backward(gy, cache, mode="exact")
         assert rel_err(grads["conv_filters"], fd_grad(loss, p.conv_filters)) < 1e-5
         assert rel_err(grads["masks"], fd_grad(loss, p.masks)) < 1e-5

@@ -132,14 +132,6 @@ def test_image_gradient_never_formed(plain_blocks, monkeypatch):
 
 
 class TestModelGradients:
-    def test_full_stack_finite_differences(self):
-        from deformgabor.train import gradcheck_problem
-
-        model, loss_and_grads, loss_only = gradcheck_problem(tiny_cfg(), seed=0)
-        _, grads = loss_and_grads()
-        for name, p in model.params.items():
-            assert rel_err(grads[name], fd_grad(loss_only, p)) < 1e-5, name
-
     def test_miml_stack_finite_differences(self):
         from deformgabor.mil import miml_loss
 
