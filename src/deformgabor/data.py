@@ -30,7 +30,6 @@ __all__ = [
     "AugmentConfig",
     "augment",
     "write_manifest",
-    "read_manifest",
 ]
 
 STRIPE_WAVELENGTH = 4.0  # pixels, at generation scale
@@ -56,6 +55,10 @@ class SynthLesionSpec:
             raise ValueError("positive_fraction must lie in [0, 1]")
         if self.lesion_radius[1] > self.image_size / 2:
             raise ValueError("largest lesion radius must fit inside the image")
+        if not self.lesion_radius[0] > 0:
+            raise ValueError(f"lesion radius_min must be > 0, got {self.lesion_radius[0]}")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
 
 def gen_bag(spec: SynthLesionSpec, index: int):
@@ -186,13 +189,3 @@ def write_manifest(path, entries) -> None:
         writer.writerow(["index", "label", "seed"])
         for idx, label, seed in entries:
             writer.writerow([idx, label, seed])
-
-
-def read_manifest(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "label", "seed"]:
-            raise ValueError(f"{path}: unexpected manifest header {header}")
-        return [(int(i), int(l), int(s)) for i, l, s in reader]
-

@@ -11,16 +11,18 @@ shared by all input and output channels.
 
 `predict_offsets`, `sample_grid`, `sample_values` and `sample_backward`
 also run on a batch of bags: input [B, Cin, Hi, Wi] with one offset
-field per bag, [B, 2*H*H, Ho, Wo]. A single image is the B = 1 case of
-the same code. The gather reads a copy of the planes framed by a zero
-border two pixels wide: each tap's top-left corner is clipped into the
-frame while still a float, so a tap's two rows (and two columns) are
-both real or both border, and a read outside the image is a read of the
-border, with no corner masks and no integer cast of a far coordinate.
-Each bag's taps are read with one flat `np.take` for all four corners,
-shared by its planes, and scattered back into framed planes with one
-`np.bincount` per corner before the frame is cropped, so a bag's result
-does not depend on the others in its batch, bit for bit.
+field per bag, [B, 2*H*H, Ho, Wo]. A single image runs as a batch of
+one: `predict_offsets` reshapes around the batched `conv2d`, and the
+sampling functions drop the bag axis again on the way out. The gather
+reads a copy of the planes framed by a zero border two pixels wide: each
+tap's top-left corner is clipped into the frame while still a float, so
+a tap's two rows (and two columns) are both real or both border, and a
+read outside the image is a read of the border, with no corner masks and
+no integer cast of a far coordinate. Each bag's taps are read with one
+flat `np.take` for all four corners, shared by its planes, and scattered
+back into framed planes with one `np.bincount` per corner before the
+frame is cropped, so a bag's result does not depend on the others in its
+batch, bit for bit.
 
 At exactly-integer sampling coordinates the bilinear kernel is not
 differentiable; the floor-based corner weights below give the right
@@ -74,11 +76,12 @@ def zero_predictor(cin: int, H: int) -> OffsetPredictor:
 def predict_offsets(x: np.ndarray, pred: OffsetPredictor, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Offset field on the same spatial grid as the main convolution output.
 
-    x: [Cin, Hi, Wi] gives [2*H*H, Ho, Wo]; a batch [B, Cin, Hi, Wi] gives
-    one field per bag, [B, 2*H*H, Ho, Wo].
+    A batch x [B, Cin, Hi, Wi] gives one field per bag, [B, 2*H*H, Ho, Wo];
+    one image [Cin, Hi, Wi] runs as a batch of one and gives [2*H*H, Ho, Wo].
     """
-    out = conv2d(x, pred.weight, stride=stride, pad=pad)
-    return out + pred.bias[:, None, None]
+    x = as_tensor(x)
+    out = conv2d(x.reshape((-1,) + x.shape[-3:]), pred.weight, stride=stride, pad=pad)
+    return out.reshape(x.shape[:-3] + out.shape[1:]) + pred.bias[:, None, None]
 
 
 # ---------------------------------------------------------------------------

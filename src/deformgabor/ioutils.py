@@ -1,10 +1,10 @@
-"""Small-format image IO: ASCII PGM and CSV grids for inspection and ingestion."""
+"""Small-format image output: ASCII PGM grids for inspection."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["save_pgm", "load_pgm", "upscale_nearest"]
+__all__ = ["save_pgm", "upscale_nearest"]
 
 
 def save_pgm(path, a: np.ndarray, lo: float | None = None, hi: float | None = None) -> None:
@@ -26,40 +26,6 @@ def save_pgm(path, a: np.ndarray, lo: float | None = None, hi: float | None = No
         lines.append(" ".join(str(v) for v in row) + "\n")
     with open(path, "w") as fh:
         fh.writelines(lines)
-
-
-def load_pgm(path) -> np.ndarray:
-    """Read P2 or P5 PGM; returns floats scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] not in (b"P2", b"P5"):
-        raise ValueError(f"{path} is not a PGM file")
-    binary = data[:2] == b"P5"
-
-    # header tokens (magic, width, height, maxval), skipping '#' comments
-    tokens = []
-    i = 2
-    while len(tokens) < 3:
-        while i < len(data) and data[i:i + 1].isspace():
-            i += 1
-        if data[i:i + 1] == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j:j + 1].isspace():
-            j += 1
-        tokens.append(int(data[i:j]))
-        i = j
-    w, h, maxval = tokens
-    i += 1  # single whitespace after maxval
-    if binary:
-        pix = np.frombuffer(data[i:i + w * h], dtype=np.uint8).astype(np.float64)
-    else:
-        pix = np.array(data[i:].split(), dtype=np.float64)
-    if pix.size != w * h:
-        raise ValueError(f"{path}: expected {w * h} pixels, found {pix.size}")
-    return pix.reshape(h, w) / float(maxval)
 
 
 def upscale_nearest(a: np.ndarray, factor: int) -> np.ndarray:

@@ -28,9 +28,10 @@ of bags, [B, U, N, Hi, Wi] or a shared [B, N, Hi, Wi], with one offset
 field per bag; the weight-only products (stage-1 weights, modulated
 Gabor filters) are formed once per batch. Each contraction is one
 matrix product per bag (per bag and output channel in stage 2) on the
-operands a single image would give, and the parameter gradients come
+operands that bag alone would give, and the parameter gradients come
 back per bag, [B, *param.shape], for the caller to sum in its own
-order. `dgconv_forward`/`dgconv_backward` are the B = 1 case.
+order. `dgconv_forward`/`dgconv_backward` run one image as a batch of
+one; the cache between them keeps the bag axis.
 
 Backward supports two modes. `exact` is the true gradient of the
 composed map (the masks receive contributions through both stages, and
@@ -47,7 +48,7 @@ gradients stay exact in both modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,8 +183,7 @@ class DGConvCache:
     """What backward needs of a forward pass.
 
     The arrays carry a leading bag axis, which e folds with the output
-    channels; in the cache `dgconv_forward` returns for one image, flat,
-    offsets and v drop it.
+    channels, also in the B = 1 cache `dgconv_forward` returns.
     """
 
     params: DGConvParams
@@ -196,11 +196,6 @@ class DGConvCache:
     v: np.ndarray             # sampled taps [B, C, H*H, Ho, Wo]
     e: np.ndarray             # intermediate maps, stage 2's input [B*M, V, Ho, Wo]
     out_grid: tuple
-
-
-def _bag_views(cache: DGConvCache, pick) -> DGConvCache:
-    """The cache with `pick` (drop or add the bag axis) applied to its per-bag arrays."""
-    return replace(cache, flat=pick(cache.flat), offsets=pick(cache.offsets), v=pick(cache.v))
 
 
 def _stage1_weights(p: DGConvParams, shared: bool):
@@ -230,13 +225,13 @@ def dgconv_forward(x: np.ndarray, p: DGConvParams, stride: int = 1, pad: int = 0
     x: [U, N, Hi, Wi], or a shared [N, Hi, Wi] map that all U orientations
     read. Returns (y, cache) with y: [U, M, Ho, Wo]; the Gabor stage uses
     "same" zero padding so y keeps the deformable stage's grid. This is
-    `dgconv_forward_batch` on a batch of one.
+    `dgconv_forward_batch` on a batch of one, whose cache it returns.
     """
     x = as_tensor(x)
     if x.ndim not in (3, 4):
         raise ValueError(f"input must be [U, N, Hi, Wi] or [N, Hi, Wi], got shape {x.shape}")
     y, cache = dgconv_forward_batch(x[None], p, stride=stride, pad=pad)
-    return y[0], _bag_views(cache, lambda a: a[0])
+    return y[0], cache
 
 
 def dgconv_forward_batch(x: np.ndarray, p: DGConvParams, stride: int = 1, pad: int = 0):
@@ -293,8 +288,7 @@ def dgconv_backward(grad_y: np.ndarray, cache: DGConvCache, mode: str = "exact")
     docstring) while keeping offsets and input exact. This is
     `dgconv_backward_batch` on a batch of one.
     """
-    grads = dgconv_backward_batch(as_tensor(grad_y)[None], _bag_views(cache, lambda a: a[None]),
-                                  mode=mode)
+    grads = dgconv_backward_batch(as_tensor(grad_y)[None], cache, mode=mode)
     return {name: g[0] for name, g in grads.items()}
 
 

@@ -67,16 +67,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 def patch_probs(features: np.ndarray, head: MILHead):
     """Score every patch: p_ij = sigmoid(w . F[:, i, j] + b), flattened row-major.
 
-    features: [C_feat, rows, cols] gives one PatchProbabilities; a batch
-    [B, C_feat, rows, cols] gives a list of B, scored with one einsum and
-    one sigmoid for the whole batch. Bag b's probabilities equal those of
-    `patch_probs(features[b], head)` bit for bit.
+    features: a batch [B, C_feat, rows, cols] of bags; returns a list of B
+    PatchProbabilities, scored with one einsum and one sigmoid for the
+    whole batch. A bag's probabilities do not depend on the other bags in
+    its batch, bit for bit; one bag is scored as `patch_probs(f[None], head)[0]`.
     """
     features = as_tensor(features)
     w = as_tensor(head.w)
-    single = features.ndim == 3
-    if single:
-        features = features[None]
+    if features.ndim != 4:
+        raise ValueError(f"features must be a batch [B, C, rows, cols], got {features.shape}")
     n_bags, c_feat, rows, cols = features.shape
     if w.shape[-1] != c_feat:
         raise ValueError(f"head expects {w.shape[-1]} feature channels, got {c_feat}")
@@ -87,8 +86,7 @@ def patch_probs(features: np.ndarray, head: MILHead):
         z = (np.einsum("lc,bcrk->blrk", w, features)
              + np.asarray(head.b, dtype=np.float64)[:, None, None])
         p = sigmoid(z).reshape(n_bags, w.shape[0], -1)
-    probs = [PatchProbabilities(p=pb, grid=(rows, cols)) for pb in p]
-    return probs[0] if single else probs
+    return [PatchProbabilities(p=pb, grid=(rows, cols)) for pb in p]
 
 
 def head_backward(grad_p: np.ndarray, features: np.ndarray, head: MILHead,

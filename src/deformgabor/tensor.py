@@ -12,13 +12,13 @@ actually run: im2col, i.e. the sliding windows copied into a
 weights flattened to [Cout, Cin*kh*kw]. Its backward is two more
 products with the same columns and a tap-by-tap scatter.
 
-`conv2d` and `conv2d_backward` also take a batch [B, Cin, Hi, Wi] of
-bags; a single [Cin, Hi, Wi] image is the B = 1 case of the same code.
-The columns keep the bag axis ([B, Cin*kh*kw, Ho*Wo]), so every product
-is one matrix product per bag on exactly the operands a single image
-would give, and batching changes no bit of any result. The weight
-gradient comes back per bag, [B, *w.shape]: summing over bags is the
-caller's, in whatever order it needs.
+`conv2d` and `conv2d_backward` take only a batch [B, Cin, Hi, Wi] of
+bags; a single image is a batch of one, `x[None]`. The columns keep the
+bag axis ([B, Cin*kh*kw, Ho*Wo]), so every product is one matrix
+product per bag on exactly the operands that bag alone would give, and
+the batch size changes no bit of any result. The weight gradient comes
+back per bag, [B, *w.shape]: summing over bags is the caller's, in
+whatever order it needs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "save_container",
     "load_container",
     "dump_csv",
-    "load_csv",
 ]
 
 _MAGIC = b"DGT1"
@@ -109,10 +108,15 @@ def _windows(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int = 1
         xp.strides[:-2] + (sy, sx, sy * stride, sx * stride), writeable=False)
 
 
-def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _columns(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
     """im2col per bag: zero-pad and copy the sliding windows of x [B, Cin, Hi, Wi]
-    into [B, Cin*kh*kw, Ho*Wo]."""
+    into [B, Cin*kh*kw, Ho*Wo] for the weights w [Cout, Cin, kh, kw]."""
+    if x.ndim != 4:
+        raise ValueError(f"conv2d input must be a batch [B, C, H, W], got shape {x.shape}")
     b, cin, hi, wi = x.shape
+    _, cin_w, kh, kw = w.shape
+    if cin != cin_w:
+        raise ValueError(f"input has {cin} channels but weight expects {cin_w}")
     ho = _out_size(hi, kh, stride, pad)
     wo = _out_size(wi, kw, stride, pad)
     xp = np.zeros((b, cin, hi + 2 * pad, wi + 2 * pad))
@@ -120,28 +124,16 @@ def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return _windows(xp, kh, kw, ho, wo, stride).reshape(b, cin * kh * kw, ho * wo), (ho, wo)
 
 
-def _as_batch(x: np.ndarray):
-    """(x with a leading bag axis, whether x was a single [C, H, W] image)."""
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ValueError(f"conv2d input must be [C, H, W] or [B, C, H, W], got shape {x.shape}")
-
-
 def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Fast cross-correlation via im2col + one matmul per bag.
 
-    x: [Cin, Hi, Wi] (same contract as conv2d_naive) or a batch [B, Cin, Hi, Wi],
-    which gives [B, Cout, Ho, Wo].
+    x: [B, Cin, Hi, Wi], w: [Cout, Cin, kh, kw] (bag b gives what
+    conv2d_naive(x[b], w) gives); returns [B, Cout, Ho, Wo].
     """
-    xb, single = _as_batch(as_tensor(x))
+    x = as_tensor(x)
     w = as_tensor(w)
-    if xb.shape[1] != w.shape[1]:
-        raise ValueError(f"input has {xb.shape[1]} channels but weight expects {w.shape[1]}")
-    cols, (ho, wo) = _columns(xb, w.shape[2], w.shape[3], stride, pad)
-    y = (w.reshape(w.shape[0], -1) @ cols).reshape(len(xb), w.shape[0], ho, wo)
-    return y[0] if single else y
+    cols, (ho, wo) = _columns(x, w, stride, pad)
+    return (w.reshape(w.shape[0], -1) @ cols).reshape(len(x), w.shape[0], ho, wo)
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -150,20 +142,19 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray,
 
     grad_w multiplies the upstream gradient by the forward's columns;
     grad_x maps it back to columns (col2im) and scatters them tap by tap
-    into the padded frame, then crops. For a batch x [B, Cin, Hi, Wi],
-    grad_x is [B, Cin, Hi, Wi] and grad_w is per bag, [B, Cout, Cin, kh, kw].
-    With need_input=False grad_x is None and neither step runs.
+    into the padded frame, then crops. grad_x is [B, Cin, Hi, Wi] like x,
+    and grad_w is per bag, [B, Cout, Cin, kh, kw]. With need_input=False
+    grad_x is None and neither step runs.
     """
-    xb, single = _as_batch(as_tensor(x))
+    x = as_tensor(x)
     w = as_tensor(w)
-    b = len(xb)
     cout, cin, kh, kw = w.shape
-    cols, (ho, wo) = _columns(xb, kh, kw, stride, pad)
+    cols, (ho, wo) = _columns(x, w, stride, pad)
+    b, _, hi, wi = x.shape
     g2 = as_tensor(grad_out).reshape(b, cout, ho * wo)
     grad_w = (g2 @ cols.transpose(0, 2, 1)).reshape((b,) + w.shape)
     grad_x = None
     if need_input:
-        hi, wi = xb.shape[2], xb.shape[3]
         gxp = np.zeros((b, cin, hi + 2 * pad, wi + 2 * pad))
         # tap contribution: grad wrt the window pixel (k,l) of every output position
         gcols = (w.reshape(cout, -1).T @ g2).reshape(b, cin, kh, kw, ho, wo)
@@ -171,9 +162,7 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray,
             for l in range(kw):
                 gxp[:, :, k:k + stride * ho:stride, l:l + stride * wo:stride] += gcols[:, :, k, l]
         grad_x = gxp[:, :, pad:pad + hi, pad:pad + wi].copy()
-        if single:
-            grad_x = grad_x[0]
-    return grad_x, (grad_w[0] if single else grad_w)
+    return grad_x, grad_w
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +234,3 @@ def dump_csv(path, a: np.ndarray) -> None:
     if a.ndim != 2:
         raise ValueError(f"csv dump needs a 2-D array, got shape {a.shape}")
     np.savetxt(path, a, delimiter=",", fmt="%.17g")
-
-
-def load_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))

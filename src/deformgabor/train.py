@@ -79,6 +79,12 @@ class OptimizerConfig:
             raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if self.plateau_patience < 1:
             raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 < self.lr_decay_factor <= 1.0:
+            raise ValueError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
         if self.lr_masks < 0:
             raise ValueError("mask learning rate must be >= 0")
         if self.lr_filters <= 0:
@@ -201,15 +207,17 @@ def gradcheck_problem(model_cfg, seed: int = 0, image_size: int = 8, mode: str =
     single-image forwards bit for bit.
 
     That does not make every seed well conditioned. On the `gradcheck`
-    command's default model, seeds 8, 15, 23, 44 and 57 of 0-59 (and 204)
-    exceed its 1e-4 tolerance on `block1.offset_weight` (1.2e-4 to
-    9.7e-4) with every tap at least 3e-4 from an integer coordinate, so no
-    bilinear kink is involved: the failing entries are gradients of only
-    9e-8 to 5.4e-7, and central differences at the default 1e-5 step carry
-    an absolute roundoff error of 2e-11 to 3e-10 on them (a 1e-3 step
-    brings it to 6e-12 or less). A kink does occur for other seeds: seed
-    205 puts a tap 2.9e-6 from an integer, within the step, and the finite
-    differences there are off by 36%.
+    command's default model, seeds 8, 15, 23, 44, 57, 63, 75, 83, 98 and
+    100 of 0-119 exceed its 1e-4 tolerance on `block1.offset_weight`.
+    Seeds 75 and 100 are bilinear kinks: a block1 tap sits 9.3e-6 and
+    1.05e-5 from an integer coordinate, within reach of the 1e-5 step, and
+    their errors fall as the step shrinks. Seed 75 fails worst (2.8e-2,
+    and also on `block1.offset_bias` and `block0.weight`). The other eight
+    are roundoff: every tap sits at least 3.6e-4 from an integer, their
+    errors grow as the step shrinks, and the failing entries checked are
+    gradients of only 9e-8 to 5.4e-7, on which central differences at
+    1e-5 carry an absolute roundoff of 2e-11 to 3e-10. Seed 205 is
+    another kink, with a tap 9.7e-6 from an integer.
     """
     rng = np.random.default_rng(seed)
     model = Model(model_cfg, rng)

@@ -3,9 +3,6 @@ import pytest
 
 from deformgabor.cli import main
 from deformgabor.config import ConfigError, parse_config
-from deformgabor.data import read_manifest
-from deformgabor.ioutils import load_pgm
-from deformgabor.tensor import load_csv
 
 
 class TestParseConfig:
@@ -134,7 +131,12 @@ class TestCLI:
                                           "data.lesion_min=3", "data.radius_min=4",
                                           "data.noise_prob=2", "model.task=miml",
                                           "model.n_labels=0",
-                                          "optimizer.plateau_patience=0"])
+                                          "optimizer.plateau_patience=0",
+                                          "optimizer.momentum=1", "optimizer.momentum=-0.1",
+                                          "optimizer.weight_decay=-1e-4",
+                                          "optimizer.lr_decay_factor=0",
+                                          "optimizer.lr_decay_factor=1.5",
+                                          "data.noise_std=-0.1", "data.radius_min=0"])
     def test_invalid_value_exit_code(self, override, tmp_path, capsys):
         assert main(["train", "--output", str(tmp_path)] + FAST + ["--set", override]) == 2
         err = capsys.readouterr().err
@@ -219,19 +221,22 @@ class TestCLI:
         assert main(["dump-gabor", "--output", str(tmp_path),
                      "--set", "model.orientations=3", "--set", "model.kernel_size=5"]) == 0
         for u in range(3):
-            f = load_csv(tmp_path / f"gabor_u{u}.csv")
+            f = np.loadtxt(tmp_path / f"gabor_u{u}.csv", delimiter=",")
             assert f.shape == (5, 5)
             assert abs(np.linalg.norm(f) - 1.0) < 1e-6
-            assert load_pgm(tmp_path / f"gabor_u{u}.pgm").shape == (5, 5)
+            tokens = (tmp_path / f"gabor_u{u}.pgm").read_text().split()
+            assert tokens[:4] == ["P2", "5", "5", "255"]  # magic, width, height, maxval
+            assert len(tokens) == 4 + 5 * 5
 
     def test_make_dataset(self, tmp_path):
         assert main(["make-dataset", "--output", str(tmp_path), "--materialize",
                      "--set", "data.n_train=4", "--set", "data.n_val=2",
                      "--set", "data.n_test=2", "--set", "data.image_size=8",
                      "--set", "data.radius_min=2", "--set", "data.radius_max=3"]) == 0
-        entries = read_manifest(tmp_path / "manifest.csv")
-        assert len(entries) == 8
-        assert all(s == 0 for _, _, s in entries)
+        lines = (tmp_path / "manifest.csv").read_text().splitlines()
+        assert lines[0] == "index,label,seed"
+        assert len(lines) == 1 + 8
+        assert all(line.split(",")[2] == "0" for line in lines[1:])
         assert (tmp_path / "bag_00000.bin").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -267,6 +267,35 @@ class TestBackward:
                                    grad_dhat * p.masks[0], rtol=1e-5, atol=1e-8)
 
 
+class TestRotationOracle:
+    """A quarter turn of the input and the stage-1 filters turns the output and
+    shifts its orientation axis by U/2.
+
+    With zero offsets and masks of one, stage 1 is a plain "same"
+    correlation, which commutes with a 90-degree rotation of both operands,
+    and a quarter turn maps the bank's orientation u to u + U/2 (angles
+    u*pi/U, cosine carriers that a half turn leaves unchanged). Luan et al.
+    2018, "Gabor Convolutional Networks" (arXiv:1705.01450).
+    """
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["oriented", "shared"])
+    @pytest.mark.parametrize("H", [3, 5])
+    @pytest.mark.parametrize("U", [2, 4])
+    def test_quarter_turn(self, U, H, shared):
+        rng = np.random.default_rng(40 + 10 * U + H + shared)
+        shape = LayerShape(U=U, V=2, H=H, N=2, M=3, N0=2, M0=3)
+        p = init_params(rng, shape, make_bank(U, H))  # zero offsets, masks of one
+        x = rng.standard_normal((2, 7, 7) if shared else (U, 2, 7, 7))
+        pad = (H - 1) // 2
+        y, _ = dgconv_forward(x, p, stride=1, pad=pad)
+        p.conv_filters = np.ascontiguousarray(np.rot90(p.conv_filters, axes=(-2, -1)))
+        y_rot, _ = dgconv_forward(np.rot90(x, axes=(-2, -1)), p, stride=1, pad=pad)
+        want = np.rot90(np.roll(y, U // 2, axis=0), axes=(-2, -1))
+        np.testing.assert_allclose(y_rot, want, rtol=0, atol=1e-12)
+        # without the orientation shift the two differ: the oracle is not vacuous
+        assert np.abs(y_rot - np.rot90(y, axes=(-2, -1))).max() > 1e-3
+
+
 class TestSharedInput:
     """A 3-D input is one map all U orientations read: the layer folds it, not copies it."""
 
@@ -283,7 +312,7 @@ class TestSharedInput:
         assert np.abs(c3.offsets).min() > 0
         np.testing.assert_allclose(y3, y4, rtol=0, atol=1e-12)
         np.testing.assert_allclose(c3.offsets, c4.offsets, rtol=0, atol=1e-12)
-        assert c3.v.shape[0] == 2 and c4.v.shape[0] == 6  # N planes gathered, not N*U
+        assert c3.v.shape[1] == 2 and c4.v.shape[1] == 6  # N planes gathered, not N*U
 
     @pytest.mark.parametrize("mode", ["exact", "paper"])
     def test_backward_matches_expanded_input(self, mode):

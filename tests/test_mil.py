@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
-from deformgabor.ioutils import load_pgm
 from deformgabor.mil import (MILHead, PatchProbabilities, bag_prob,
                              class_weights, head_backward, mil_loss,
                              miml_class_weights, miml_loss, patch_probs,
                              save_heatmap, weighted_mil_loss)
-from deformgabor.tensor import load_csv
 
 
 def probs_of(p):
@@ -17,30 +15,34 @@ def probs_of(p):
 
 class TestPatchProbs:
     def test_zero_head_gives_half(self):
-        f = np.random.default_rng(0).standard_normal((3, 2, 2))
-        out = patch_probs(f, MILHead(w=np.zeros(3), b=0.0))
+        f = np.random.default_rng(0).standard_normal((1, 3, 2, 2))
+        [out] = patch_probs(f, MILHead(w=np.zeros(3), b=0.0))
         np.testing.assert_array_equal(out.p, np.full(4, 0.5))
         assert out.grid == (2, 2)
 
     def test_saturated_bias(self):
-        f = np.zeros((2, 2, 2))
-        out = patch_probs(f, MILHead(w=np.zeros(2), b=20.0))
+        f = np.zeros((1, 2, 2, 2))
+        [out] = patch_probs(f, MILHead(w=np.zeros(2), b=20.0))
         np.testing.assert_allclose(out.p, 1.0, atol=1e-8)
 
     def test_hand_computed_sigmoid(self):
-        f = np.array([1.0, 2.0]).reshape(2, 1, 1)
-        out = patch_probs(f, MILHead(w=np.array([0.5, -0.25]), b=0.1))
+        f = np.array([1.0, 2.0]).reshape(1, 2, 1, 1)
+        [out] = patch_probs(f, MILHead(w=np.array([0.5, -0.25]), b=0.1))
         assert out.p[0] == pytest.approx(0.5249791874789399, abs=1e-12)
 
     def test_multilabel_shape(self):
         rng = np.random.default_rng(1)
-        f = rng.standard_normal((3, 2, 2))
-        out = patch_probs(f, MILHead(w=rng.standard_normal((5, 3)), b=np.zeros(5)))
+        f = rng.standard_normal((1, 3, 2, 2))
+        [out] = patch_probs(f, MILHead(w=rng.standard_normal((5, 3)), b=np.zeros(5)))
         assert out.p.shape == (5, 4)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            patch_probs(np.zeros((3, 2, 2)), MILHead(w=np.zeros(4), b=0.0))
+            patch_probs(np.zeros((1, 3, 2, 2)), MILHead(w=np.zeros(4), b=0.0))
+
+    def test_single_image_rejected(self):
+        with pytest.raises(ValueError, match="batch"):
+            patch_probs(np.zeros((3, 2, 2)), MILHead(w=np.zeros(3), b=0.0))
 
     def test_head_backward_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -50,9 +52,9 @@ class TestPatchProbs:
         gp = rng.standard_normal(4)
 
         def loss():
-            return float(np.sum(patch_probs(f, MILHead(w=w, b=b)).p * gp))
+            return float(np.sum(patch_probs(f[None], MILHead(w=w, b=b))[0].p * gp))
 
-        probs = patch_probs(f, MILHead(w=w, b=b))
+        [probs] = patch_probs(f[None], MILHead(w=w, b=b))
         gw, gb, gf = head_backward(gp, f, MILHead(w=w, b=b), probs)
         assert rel_err(gw, fd_grad(loss, w)) < 1e-7
         assert rel_err(gf, fd_grad(loss, f)) < 1e-7
@@ -212,10 +214,11 @@ class TestHeatmap:
         probs = PatchProbabilities(p=p, grid=(4, 4))
         stem = tmp_path / "bag0"
         save_heatmap(str(stem), probs, upscale=4)
-        grid = load_csv(f"{stem}.csv")
+        grid = np.loadtxt(f"{stem}.csv", delimiter=",")
         np.testing.assert_allclose(grid, p.reshape(4, 4), atol=1e-15)
-        img = load_pgm(f"{stem}.pgm")
-        assert img.shape == (16, 16)
+        tokens = (tmp_path / "bag0.pgm").read_text().split()
+        assert tokens[:4] == ["P2", "16", "16", "255"]  # magic, width, height, maxval
+        assert len(tokens) == 4 + 16 * 16
 
     def test_multilabel_needs_channel(self, tmp_path):
         probs = PatchProbabilities(p=np.random.default_rng(11).random((2, 4)), grid=(2, 2))
@@ -237,7 +240,7 @@ class TestBatchedPatchProbs:
         batch = patch_probs(feats, head)
         assert len(batch) == n_bags
         for f, got in zip(feats, batch):
-            want = patch_probs(f, head)
+            [want] = patch_probs(f[None], head)
             assert got.grid == want.grid == (3, 2)
             assert got.p.shape == want.p.shape
             assert np.array_equal(got.p, want.p)

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from deformgabor.tensor import (conv2d, conv2d_backward, conv2d_naive, dump_csv,
-                                load_container, load_csv, load_tensor,
-                                save_container, save_tensor, zeros)
+                                load_container, load_tensor, save_container,
+                                save_tensor, zeros)
 
 
 def conv_scatter_oracle(x, w, stride=1, pad=0):
@@ -86,15 +86,15 @@ class TestFastConv:
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
     def test_matches_naive(self, stride, pad):
         rng = np.random.default_rng(stride * 10 + pad)
-        x = rng.standard_normal((3, 7, 7))
+        x = rng.standard_normal((1, 3, 7, 7))
         w = rng.standard_normal((4, 3, 3, 3))
-        np.testing.assert_allclose(conv2d(x, w, stride, pad),
-                                   conv2d_naive(x, w, stride, pad), atol=1e-12)
+        np.testing.assert_allclose(conv2d(x, w, stride, pad)[0],
+                                   conv2d_naive(x[0], w, stride, pad), atol=1e-12)
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
     def test_backward_finite_differences(self, stride, pad):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 5, 5))
+        x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         g = rng.standard_normal(conv2d(x, w, stride, pad).shape)
 
@@ -103,11 +103,19 @@ class TestFastConv:
 
         gx, gw = conv2d_backward(g, x, w, stride, pad)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-7
-        assert rel_err(gw, fd_grad(loss, w)) < 1e-7
+        assert rel_err(gw[0], fd_grad(loss, w)) < 1e-7
 
     def test_non_integral_output_rejected(self):
         with pytest.raises(ValueError):
-            conv2d(np.zeros((1, 6, 6)), np.zeros((1, 1, 3, 3)), stride=2, pad=0)
+            conv2d(np.zeros((1, 1, 6, 6)), np.zeros((1, 1, 3, 3)), stride=2, pad=0)
+
+    @pytest.mark.parametrize("shape", [(1, 6, 6), (1, 1, 1, 6, 6)])
+    def test_non_batch_input_rejected(self, shape):
+        w = np.zeros((1, 1, 3, 3))
+        with pytest.raises(ValueError, match="batch"):
+            conv2d(np.zeros(shape), w, pad=1)
+        with pytest.raises(ValueError, match="batch"):
+            conv2d_backward(np.zeros((1, 1, 6, 6)), np.zeros(shape), w, pad=1)
 
 
 class TestSerialization:
@@ -156,7 +164,7 @@ class TestSerialization:
         a = np.array([[1.5, -2.25], [0.0, 3.125]])
         p = tmp_path / "m.csv"
         dump_csv(p, a)
-        np.testing.assert_array_equal(load_csv(p), a)
+        np.testing.assert_array_equal(np.loadtxt(p, delimiter=","), a)
 
     def test_csv_rejects_3d(self, tmp_path):
         with pytest.raises(ValueError):
