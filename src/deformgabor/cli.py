@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .gabor import make_bank
 from .ioutils import save_pgm
 from .metrics import accuracy, auc
 from .mil import save_heatmap
-from .model import (Model, ModelConfig, ShapeMismatchError, load_checkpoint,
+from .model import (Model, ShapeMismatchError, load_checkpoint,
                     matched_plain_config, param_table, total_params)
 from .tensor import dump_csv, save_tensor
 from .train import NumericsError, grad_check, gradcheck_problem, train_model
@@ -46,10 +47,7 @@ def _splits(cfg: RunConfig):
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
     # a tiny proxy model keeps finite differences tractable: two stages of
     # width 2 with the configured U/V/H/task, on an 8x8 input
-    tiny = ModelConfig(widths=(2, 2), plain_blocks=min(cfg.model.plain_blocks, 1),
-                       in_channels=cfg.model.in_channels, U=cfg.model.U, V=cfg.model.V,
-                       H=cfg.model.H, sigma=cfg.model.sigma, lam=cfg.model.lam,
-                       task=cfg.model.task, n_labels=cfg.model.n_labels)
+    tiny = replace(cfg.model, widths=(2, 2), plain_blocks=min(cfg.model.plain_blocks, 1))
     model, loss_and_grads, loss_only = gradcheck_problem(tiny, seed=cfg.optimizer.seed,
                                                          mode=cfg.run.mode)
     report = grad_check(loss_and_grads, loss_only, model.params)
@@ -148,10 +146,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     from .train import evaluate
 
     _check_single_label(cfg)
+    _, _, test = _splits(cfg)
+    _check_classes("test", test, "the test AUC")
     out = _out_dir(args, cfg)
     model = Model(cfg.model, np.random.default_rng(cfg.optimizer.seed))
     load_checkpoint(args.checkpoint, model)
-    _, _, test = _splits(cfg)
     test = _corrupted_test_set(test, cfg, args.corrupt)
 
     scores, labels, _ = evaluate(model, test)

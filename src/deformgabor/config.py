@@ -3,8 +3,9 @@
 Sections mirror the subsystems: [model] stage widths and layer
 hyperparameters, [optimizer] the training protocol, [data] the synthetic
 dataset recipe and split sizes, [run] output location and backward mode.
-Every key has a default; unknown sections or keys are rejected so typos
-fail loudly.
+Each section is one dataclass, its keys are the dataclass's fields, and a
+key's default is its field's default. Unknown sections or keys are
+rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class DataConfig:
             raise ValueError(f"noise_prob must lie in [0, 1], got {self.noise_prob}")
         if self.deform_variants < 1:
             raise ValueError(f"deform_variants must be >= 1, got {self.deform_variants}")
+        for key in ("seed", "n_train", "n_val", "n_test"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     def lesion_spec(self) -> SynthLesionSpec:
         return SynthLesionSpec(
@@ -87,52 +91,24 @@ class RunConfig:
     run: RunSettings
 
 
-_MODEL_DEFAULTS = {
-    "widths": "4-8",
-    "plain_blocks": 1,
-    "in_channels": 1,
-    "orientations": 4,
-    "mask_count": 2,
-    "kernel_size": 3,
-    "sigma": "auto",
-    "lambda": "auto",
-    "task": "mil",
-    "n_labels": 1,
-}
-
-_OPTIMIZER_DEFAULTS = {
-    "kind": "adam",
-    "lr_masks": 1e-4,
-    "lr_filters": 1e-4,
-    "momentum": 0.9,
-    "weight_decay": 0.0,
-    "epochs": 50,
-    "batch_size": 16,
-    "lr_decay_every": 100,
-    "lr_decay_factor": 0.1,
-    "plateau_patience": 10,
-    "seed": 0,
-}
-
-_DATA_DEFAULTS = {f.name: f.default for f in fields(DataConfig)}
-_RUN_DEFAULTS = {f.name: f.default for f in fields(RunSettings)}
-
-_SCHEMA = {
-    "model": _MODEL_DEFAULTS,
-    "optimizer": _OPTIMIZER_DEFAULTS,
-    "data": _DATA_DEFAULTS,
-    "run": _RUN_DEFAULTS,
-}
+_SECTIONS = {"model": ModelConfig, "optimizer": OptimizerConfig, "data": DataConfig,
+             "run": RunSettings}
+# the only INI keys whose names differ from their fields: field -> key
+_RENAMED = {"model": {"U": "orientations", "V": "mask_count", "H": "kernel_size", "lam": "lambda"}}
+# section -> INI key -> the dataclass field it sets, whose default is the key's default
+_SCHEMA = {section: {_RENAMED.get(section, {}).get(f.name, f.name): f for f in fields(cls)}
+           for section, cls in _SECTIONS.items()}
 
 
-def _coerce(section: str, key: str, raw, default):
-    """Parse raw as the type of default; a default of "auto" takes "auto" or a number."""
-    if isinstance(raw, str):
-        raw = raw.strip()
+def _coerce(section: str, key: str, raw: str, default):
+    """Parse raw as the type of default; a default of None takes "auto" or a number."""
+    raw = raw.strip()
+    if isinstance(default, tuple):
+        return _parse_widths(raw)
+    if default is None and raw == "auto":
+        return None
     try:
         if isinstance(default, bool):
-            if isinstance(raw, bool):
-                return raw
             if raw.lower() in ("1", "true", "yes", "on"):
                 return True
             if raw.lower() in ("0", "false", "no", "off"):
@@ -140,10 +116,10 @@ def _coerce(section: str, key: str, raw, default):
             raise ValueError(raw)
         if isinstance(default, int):
             return int(raw)
-        if isinstance(default, str) and (default != "auto" or raw == "auto"):
-            return str(raw)
+        if isinstance(default, str):
+            return raw
         value = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be a finite number, got {raw!r}")
@@ -152,17 +128,24 @@ def _coerce(section: str, key: str, raw, default):
 
 def _parse_widths(text: str):
     try:
-        widths = tuple(int(t) for t in str(text).split("-"))
+        widths = tuple(int(t) for t in text.split("-"))
     except ValueError:
         raise ConfigError(f"[model] widths: expected dash-separated integers, got {text!r}") from None
-    if not widths or any(w < 1 for w in widths):
+    if any(w < 1 for w in widths):
         raise ConfigError(f"[model] widths: need positive stage widths, got {text!r}")
     return widths
 
 
 def parse_config(path=None, overrides=()) -> RunConfig:
-    """Read the config file (optional) and apply `section.key=value` overrides."""
-    values = {s: dict(defaults) for s, defaults in _SCHEMA.items()}
+    """Read the config file (optional) and apply `section.key=value` overrides.
+
+    A key set nowhere keeps its dataclass field's default.
+    """
+    values = {section: {} for section in _SCHEMA}
+
+    def assign(section, key, raw):
+        field = _SCHEMA[section][key]
+        values[section][field.name] = _coerce(section, key, raw, field.default)
 
     if path is not None:
         parser = configparser.ConfigParser()
@@ -179,7 +162,7 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             for key, raw in parser.items(section):
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                values[section][key] = _coerce(section, key, raw, _SCHEMA[section][key])
+                assign(section, key, raw)
 
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -188,28 +171,11 @@ def parse_config(path=None, overrides=()) -> RunConfig:
         section, key = dotted.split(".", 1)
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown override target {dotted!r}")
-        values[section][key] = _coerce(section, key, raw, _SCHEMA[section][key])
+        assign(section, key, raw)
 
-    m = values["model"]
     try:
-        model = ModelConfig(
-            widths=_parse_widths(m["widths"]),
-            plain_blocks=m["plain_blocks"],
-            in_channels=m["in_channels"],
-            U=m["orientations"],
-            V=m["mask_count"],
-            H=m["kernel_size"],
-            sigma=None if m["sigma"] == "auto" else m["sigma"],
-            lam=None if m["lambda"] == "auto" else m["lambda"],
-            task=m["task"],
-            n_labels=m["n_labels"],
-        )
-        optimizer = OptimizerConfig(**values["optimizer"])
-        data = DataConfig(**values["data"])
-        run = RunSettings(**values["run"])
-        data.lesion_spec()  # validates the dataset recipe
-    except ConfigError:
-        raise
+        cfg = RunConfig(**{s: _SECTIONS[s](**kwargs) for s, kwargs in values.items()})
+        cfg.data.lesion_spec()  # validates the dataset recipe
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(model=model, optimizer=optimizer, data=data, run=run)
+    return cfg

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class NumericsError(FloatingPointError):
     """Loss or gradients went non-finite during training."""
 
@@ -59,9 +63,6 @@ class OptimizerConfig:
     lr_masks: float = 1e-4
     lr_filters: float = 1e-4
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     epochs: int = 50
     batch_size: int = 16
@@ -91,6 +92,8 @@ class OptimizerConfig:
             raise ValueError("filter learning rate must be > 0")
         if self.kind not in ("adam", "sgd_momentum"):
             raise ValueError(f"unknown optimizer {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _lr(name: str, cfg: OptimizerConfig) -> float:
@@ -124,13 +127,13 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: OptimizerConfig,
             g = g + cfg.weight_decay * p
         m = state.setdefault(f"{name}.m", np.zeros_like(p))
         v = state.setdefault(f"{name}.v", np.zeros_like(p))
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * g * g
-        mhat = m / (1 - cfg.beta1 ** t)
-        vhat = v / (1 - cfg.beta2 ** t)
-        p -= _lr(name, cfg) * lr_scale * mhat / (np.sqrt(vhat) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1 ** t)
+        vhat = v / (1 - ADAM_BETA2 ** t)
+        p -= _lr(name, cfg) * lr_scale * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def optimizer_step(params, grads, state, cfg: OptimizerConfig, lr_scale: float = 1.0) -> None:

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from deformgabor.cli import main
-from deformgabor.config import ConfigError, parse_config
+from deformgabor.config import ConfigError, DataConfig, RunConfig, RunSettings, parse_config
+from deformgabor.model import ModelConfig
+from deformgabor.train import OptimizerConfig
 
 
 class TestParseConfig:
@@ -13,6 +17,77 @@ class TestParseConfig:
         assert cfg.optimizer.kind == "adam"
         assert cfg.data.n_train == 200
         assert cfg.run.mode == "exact"
+        assert cfg == RunConfig(ModelConfig(), OptimizerConfig(), DataConfig(), RunSettings())
+
+    def test_every_key_lands_on_its_field(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("""
+[model]
+widths = 6-5-3
+plain_blocks = 2
+in_channels = 3
+orientations = 2
+mask_count = 3
+kernel_size = 5
+sigma = 1.5
+lambda = 2.5
+task = miml
+n_labels = 4
+
+[optimizer]
+kind = sgd_momentum
+lr_masks = 0.002
+lr_filters = 0.003
+momentum = 0.5
+weight_decay = 0.001
+epochs = 7
+batch_size = 8
+lr_decay_every = 20
+lr_decay_factor = 0.5
+plateau_patience = 3
+seed = 11
+
+[data]
+image_size = 24
+lesion_min = 2
+lesion_max = 3
+radius_min = 2.5
+radius_max = 5.5
+contrast = 0.7
+oriented_texture = false
+noise_std = 0.2
+positive_fraction = 0.4
+seed = 5
+n_train = 30
+n_val = 10
+n_test = 12
+augment = true
+deform_variants = 3
+noise_prob = 0.05
+
+[run]
+output = out/dir
+mode = paper
+heatmaps = 2
+""")
+        cfg = parse_config(p)
+        assert cfg == RunConfig(
+            ModelConfig(widths=(6, 5, 3), plain_blocks=2, in_channels=3, U=2, V=3, H=5,
+                        sigma=1.5, lam=2.5, task="miml", n_labels=4),
+            OptimizerConfig(kind="sgd_momentum", lr_masks=0.002, lr_filters=0.003,
+                            momentum=0.5, weight_decay=0.001, epochs=7, batch_size=8,
+                            lr_decay_every=20, lr_decay_factor=0.5, plateau_patience=3,
+                            seed=11),
+            DataConfig(image_size=24, lesion_min=2, lesion_max=3, radius_min=2.5,
+                       radius_max=5.5, contrast=0.7, oriented_texture=False, noise_std=0.2,
+                       positive_fraction=0.4, seed=5, n_train=30, n_val=10, n_test=12,
+                       augment=True, deform_variants=3, noise_prob=0.05),
+            RunSettings(output="out/dir", mode="paper", heatmaps=2))
+        # the file leaves no field at its default, so it names every key
+        for section in fields(cfg):
+            values = getattr(cfg, section.name)
+            for f in fields(values):
+                assert getattr(values, f.name) != f.default, (section.name, f.name)
 
     def test_file_values(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -136,7 +211,9 @@ class TestCLI:
                                           "optimizer.weight_decay=-1e-4",
                                           "optimizer.lr_decay_factor=0",
                                           "optimizer.lr_decay_factor=1.5",
-                                          "data.noise_std=-0.1", "data.radius_min=0"])
+                                          "data.noise_std=-0.1", "data.radius_min=0",
+                                          "optimizer.seed=-1", "data.seed=-1",
+                                          "data.n_train=-3", "data.n_test=-2"])
     def test_invalid_value_exit_code(self, override, tmp_path, capsys):
         assert main(["train", "--output", str(tmp_path)] + FAST + ["--set", override]) == 2
         err = capsys.readouterr().err
@@ -144,7 +221,8 @@ class TestCLI:
         assert override.split(".")[1].split("=")[0] in err
         assert not (tmp_path / "initial.ckpt").exists()
 
-    @pytest.mark.parametrize("override", ["data.deform_variants=0", "run.heatmaps=-1"])
+    @pytest.mark.parametrize("override", ["data.deform_variants=0", "run.heatmaps=-1",
+                                          "data.n_test=0", "data.n_test=1"])
     def test_eval_invalid_value_exit_code(self, override, tmp_path, capsys):
         # the checkpoint does not exist: the value is rejected before it is read
         args = ["eval", "--output", str(tmp_path), "--checkpoint", str(tmp_path / "x.ckpt"),
