@@ -4,8 +4,11 @@ An image is a bag of patch instances: a shared logistic head scores
 every patch, the bag probability is the maximum patch probability, and
 the cross-entropy loss backpropagates only through each bag's argmax
 patch (ties broken by lowest flat index, so gradients are reproducible).
-The multi-label variant runs one independent max-pooled problem per
-label channel. Class-frequency weights correct label imbalance.
+Every head, loss and weight runs over label channels: the multi-label
+task has one independent max-pooled problem per channel, and the
+single-label task is its one-channel case, with a [C_feat] head and [K]
+patch vectors viewed as one row. Class-frequency weights correct label
+imbalance per channel.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "mil_loss",
     "class_weights",
     "weighted_mil_loss",
-    "miml_class_weights",
     "miml_loss",
     "save_heatmap",
 ]
@@ -39,8 +41,9 @@ PROB_EPS = 1e-12  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before
 class MILHead:
     """Logistic weights shared across patch positions.
 
-    w is [C_feat] for the single-label task or [C_labels, C_feat] for the
-    multi-label task; b is a scalar or [C_labels] to match.
+    w is [C_labels, C_feat], one row per label channel; the single-label
+    task's [C_feat] is one row. b is [C_labels] (a scalar also serves one
+    row).
     """
 
     w: np.ndarray
@@ -65,12 +68,13 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def patch_probs(features: np.ndarray, head: MILHead):
-    """Score every patch: p_ij = sigmoid(w . F[:, i, j] + b), flattened row-major.
+    """Score every patch: p_lij = sigmoid(w_l . F[:, i, j] + b_l), flattened row-major.
 
     features: a batch [B, C_feat, rows, cols] of bags; returns a list of B
     PatchProbabilities, scored with one einsum and one sigmoid for the
-    whole batch. A bag's probabilities do not depend on the other bags in
-    its batch, bit for bit; one bag is scored as `patch_probs(f[None], head)[0]`.
+    whole batch. Each bag's p is [L, K], or [K] for a 1-D head. A bag's
+    probabilities do not depend on the other bags in its batch, bit for
+    bit; one bag is scored as `patch_probs(f[None], head)[0]`.
     """
     features = as_tensor(features)
     w = as_tensor(head.w)
@@ -79,32 +83,22 @@ def patch_probs(features: np.ndarray, head: MILHead):
     n_bags, c_feat, rows, cols = features.shape
     if w.shape[-1] != c_feat:
         raise ValueError(f"head expects {w.shape[-1]} feature channels, got {c_feat}")
-    if w.ndim == 1:
-        z = np.einsum("c,bcrk->brk", w, features) + float(np.asarray(head.b))
-        p = sigmoid(z).reshape(n_bags, -1)
-    else:
-        z = (np.einsum("lc,bcrk->blrk", w, features)
-             + np.asarray(head.b, dtype=np.float64)[:, None, None])
-        p = sigmoid(z).reshape(n_bags, w.shape[0], -1)
+    z = np.einsum("lc,bcrk->blrk", w.reshape(-1, c_feat), features)
+    z += np.asarray(head.b, dtype=np.float64).reshape(-1, 1, 1)
+    p = sigmoid(z).reshape((n_bags,) + w.shape[:-1] + (-1,))
     return [PatchProbabilities(p=pb, grid=(rows, cols)) for pb in p]
 
 
 def head_backward(grad_p: np.ndarray, features: np.ndarray, head: MILHead,
                   probs: PatchProbabilities):
-    """Backprop through the sigmoid head: returns (grad_w, grad_b, grad_features)."""
+    """Backprop through the sigmoid head: returns (grad_w, grad_b [L], grad_features)."""
     features = as_tensor(features)
-    rows, cols = probs.grid
     w = as_tensor(head.w)
-    if w.ndim == 1:
-        gz = (grad_p * probs.p * (1.0 - probs.p)).reshape(rows, cols)
-        grad_w = np.einsum("rk,crk->c", gz, features)
-        grad_b = float(gz.sum())
-        grad_f = w[:, None, None] * gz[None]
-    else:
-        gz = (grad_p * probs.p * (1.0 - probs.p)).reshape(w.shape[0], rows, cols)
-        grad_w = np.einsum("lrk,crk->lc", gz, features)
-        grad_b = gz.sum(axis=(1, 2))
-        grad_f = np.einsum("lc,lrk->crk", w, gz)
+    rows_w = w.reshape(-1, w.shape[-1])
+    gz = (grad_p * probs.p * (1.0 - probs.p)).reshape((len(rows_w),) + probs.grid)
+    grad_w = np.einsum("lrk,crk->lc", gz, features).reshape(w.shape)
+    grad_b = gz.sum(axis=(1, 2))
+    grad_f = np.einsum("lc,lrk->crk", rows_w, gz)
     return grad_w, grad_b, grad_f
 
 
@@ -116,93 +110,80 @@ def bag_prob(probs: PatchProbabilities) -> float:
     return float(p.max())
 
 
-def _bag_term(p: np.ndarray, y: int, weight: float):
-    """Loss term and patch gradient for one bag (or one label channel of one bag)."""
-    k = int(np.argmax(p))  # ties: lowest flat index
-    pm = min(max(float(p[k]), PROB_EPS), 1.0 - PROB_EPS)
-    grad = np.zeros_like(p)
-    if y == 1:
-        loss = -weight * np.log(pm)
-        grad[k] = -weight / pm
-    else:
-        loss = -weight * np.log(1.0 - pm)
-        grad[k] = weight / (1.0 - pm)
-    return loss, grad
-
-
 def mil_loss(bags):
     """Cross-entropy over bag maxima: bags is a sequence of (PatchProbabilities, y).
 
     Returns (loss, grads) where grads[i] matches bags[i]'s patch vector and
     is nonzero only at the argmax patch.
     """
-    return weighted_mil_loss(bags, {0: 1.0, 1: 1.0})
+    return weighted_mil_loss(bags)
 
 
-def class_weights(labels) -> dict:
-    """Inverse-frequency weights w(c) = N / count(c); both classes must appear."""
+def class_weights(labels) -> np.ndarray:
+    """Inverse-frequency weights w[y] = N / count(y), per label channel.
+
+    labels [N] gives [2]; labels [N, L] give [L, 2], indexed (channel, class).
+    Every channel must see both classes.
+    """
     labels = np.asarray(labels)
-    n = labels.size
-    out = {}
-    for c in (0, 1):
-        cnt = int(np.sum(labels == c))
-        if cnt == 0:
-            raise ValueError(f"class {c} never occurs; weights undefined")
-        out[c] = n / cnt
-    return out
+    counts = np.stack([np.sum(labels == y, axis=0) for y in (0, 1)], axis=-1)
+    if (counts == 0).any():
+        channel, y = np.argwhere(counts.reshape(-1, 2) == 0)[0]
+        raise ValueError(f"label {channel} is never {y}; weights undefined")
+    return len(labels) / counts
 
 
-def weighted_mil_loss(bags, weights):
-    """mil_loss with each bag's term scaled by weights[y]."""
-    if len(bags) == 0:
-        raise ValueError("need at least one bag")
-    total = 0.0
-    grads = []
-    for probs, y in bags:
-        loss, grad = _bag_term(np.asarray(probs.p), int(y), float(weights[int(y)]))
-        total += loss
-        grads.append(grad)
-    return total, grads
+def weighted_mil_loss(bags, weights=None):
+    """Bag cross-entropy with each label channel's term scaled by weights[channel, y].
 
-
-def miml_class_weights(label_matrix: np.ndarray) -> np.ndarray:
-    """Per-label inverse-frequency weights: returns [C, 2] with weights[c, y]."""
-    labels = np.asarray(label_matrix)
-    n, c = labels.shape
-    out = np.empty((c, 2))
-    for ci in range(c):
-        for y in (0, 1):
-            cnt = int(np.sum(labels[:, ci] == y))
-            if cnt == 0:
-                raise ValueError(f"label {ci} is never {y}; weights undefined")
-            out[ci, y] = n / cnt
-    return out
-
-
-def miml_loss(bags, weights: np.ndarray | None = None):
-    """Multi-label bag loss: one independent max-pooled problem per label channel.
-
-    bags is a sequence of (PatchProbabilities with p [C, K], label vector [C]);
-    weights, if given, is [C, 2] indexed by (label channel, class). Returns
-    (loss, grads) with grads[i] of shape [C, K], one nonzero patch per channel.
+    bags is a sequence of (PatchProbabilities, y): p [K] with a label y, or
+    p [L, K] with a label vector [L], one independent max-pooled problem per
+    channel. weights is `class_weights`' [2] or [L, 2], a {0: w0, 1: w1}
+    dict for one channel, or None for unit weights. Returns (loss, grads)
+    with grads[i] shaped like bags[i]'s p and nonzero only at each channel's
+    argmax patch (ties: lowest index).
     """
     if len(bags) == 0:
         raise ValueError("need at least one bag")
+    if isinstance(weights, dict):
+        table = ((weights[0], weights[1]),)
+    else:
+        table = None if weights is None else np.asarray(weights).reshape(-1, 2)
     total = 0.0
     grads = []
-    for probs, yvec in bags:
+    for probs, y in bags:
         p = np.asarray(probs.p)
-        if p.ndim != 2:
-            raise ValueError("multi-label bags need per-channel patch probabilities [C, K]")
-        yvec = np.asarray(yvec).astype(int)
-        grad = np.zeros_like(p)
-        for c in range(p.shape[0]):
-            w = 1.0 if weights is None else float(weights[c, yvec[c]])
-            loss_c, grad_c = _bag_term(p[c], int(yvec[c]), w)
-            total += loss_c
-            grad[c] = grad_c
-        grads.append(grad)
+        channels = p.reshape(-1, p.shape[-1])  # [L, K]; a [K] bag is one channel
+        ys = (y,) if np.isscalar(y) else np.reshape(y, -1)
+        n_rows = len(channels) if table is None else len(table)
+        if not len(ys) == n_rows == len(channels):
+            raise ValueError(f"{len(channels)} label channels need as many labels and "
+                             f"weight rows, got {len(ys)} and {n_rows}")
+        grad = np.zeros_like(channels)
+        for c in range(len(channels)):
+            yc = int(ys[c])
+            weight = 1.0 if table is None else float(table[c][yc])
+            k = int(channels[c].argmax())
+            pm = min(max(float(channels[c, k]), PROB_EPS), 1.0 - PROB_EPS)
+            if yc == 1:
+                total += -weight * np.log(pm)
+                grad[c, k] = -weight / pm
+            else:
+                total += -weight * np.log(1.0 - pm)
+                grad[c, k] = weight / (1.0 - pm)
+        grads.append(grad.reshape(p.shape))
     return total, grads
+
+
+def miml_loss(bags, weights: np.ndarray | None = None):
+    """Multi-label bag loss: `weighted_mil_loss` on bags whose p is [C, K].
+
+    weights, if given, is [C, 2] indexed by (label channel, class). Returns
+    (loss, grads) with grads[i] of shape [C, K], one nonzero patch per channel.
+    """
+    if any(np.ndim(probs.p) != 2 for probs, _ in bags):
+        raise ValueError("multi-label bags need per-channel patch probabilities [C, K]")
+    return weighted_mil_loss(bags, weights)
 
 
 def save_heatmap(path_stem: str, probs: PatchProbabilities, channel: int | None = None,

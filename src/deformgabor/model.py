@@ -71,6 +71,8 @@ class ModelConfig:
             raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.n_labels < 1:
             raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
+        if self.task == "mil" and self.n_labels != 1:
+            raise ValueError(f"task mil has one label, so n_labels must be 1, got {self.n_labels}")
         for key, value in (("sigma", self.sigma), ("lambda", self.lam)):
             if value is not None and not value > 0:
                 raise ValueError(f"{key} must be > 0 or auto, got {value}")
@@ -85,6 +87,11 @@ class ModelConfig:
     def head_channels(self) -> int:
         last = self.widths[-1]
         return last if self.block_kind(self.n_blocks - 1) == "plain" else last * self.U
+
+    def head_shape(self) -> tuple:
+        """Shape of head.w: [C] for the single-label task, [n_labels, C] for the multi-label one."""
+        c_feat = self.head_channels()
+        return (c_feat,) if self.task == "mil" else (self.n_labels, c_feat)
 
 
 def _relu(x):
@@ -136,20 +143,12 @@ class Model:
                 self.params[f"block{i}.offset_bias"] = p.offset_pred.bias
                 cin = width
 
-        c_feat = cfg.head_channels()
-        if cfg.task == "mil":
-            hw = 0.01 * rng.standard_normal(c_feat)
-            hb = np.zeros(1)
-        else:
-            hw = 0.01 * rng.standard_normal((cfg.n_labels, c_feat))
-            hb = np.zeros(cfg.n_labels)
-        self.params["head.w"] = hw
-        self.params["head.b"] = hb
+        self.params["head.w"] = 0.01 * rng.standard_normal(cfg.head_shape())
+        self.params["head.b"] = np.zeros(cfg.n_labels)
 
     @property
     def head(self) -> MILHead:
-        b = self.params["head.b"]
-        return MILHead(w=self.params["head.w"], b=float(b[0]) if b.size == 1 and self.cfg.task == "mil" else b)
+        return MILHead(w=self.params["head.w"], b=self.params["head.b"])
 
     def forward(self, image: np.ndarray):
         """image: [in_channels, W, W] -> (PatchProbabilities, cache for backward).
@@ -211,8 +210,7 @@ class Model:
         head = self.head
         head_grads = [head_backward(gp, f, head, pr) for gp, f, pr in zip(grad_ps, feat, probs)]
         grads = {"head.w": np.stack([gw for gw, _, _ in head_grads]),
-                 "head.b": np.stack([np.atleast_1d(np.asarray(gb, dtype=np.float64))
-                                     for _, gb, _ in head_grads])}
+                 "head.b": np.stack([gb for _, gb, _ in head_grads])}
         g = np.stack([gf for _, _, gf in head_grads])
         pad = (self.cfg.H - 1) // 2
         for i, block_cache, pre in reversed(caches):
@@ -249,10 +247,7 @@ def param_table(cfg: ModelConfig) -> list:
             shape = dg.LayerShape(U=cfg.U, V=cfg.V, H=cfg.H, N=cin, M=width, N0=cin, M0=width)
             rows.append((f"block{i}", "gabor", dg.param_count(shape)))
         cin = width
-    c_feat = cfg.head_channels()
-    head = c_feat * (1 if cfg.task == "mil" else cfg.n_labels)
-    bias = 1 if cfg.task == "mil" else cfg.n_labels
-    rows.append(("head", "head", {"filters": head, "bias": bias}))
+    rows.append(("head", "head", {"filters": math.prod(cfg.head_shape()), "bias": cfg.n_labels}))
     return rows
 
 

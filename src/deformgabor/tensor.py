@@ -28,7 +28,6 @@ import struct
 import numpy as np
 
 __all__ = [
-    "zeros",
     "as_tensor",
     "conv2d_naive",
     "conv2d",
@@ -41,16 +40,6 @@ __all__ = [
 ]
 
 _MAGIC = b"DGT1"
-
-
-def zeros(shape) -> np.ndarray:
-    """All-zero float64 tensor. Empty shapes and non-positive dims are rejected."""
-    dims = tuple(int(d) for d in shape)
-    if len(dims) == 0:
-        raise ValueError("tensor shape must have at least one dimension")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"tensor dims must be >= 1, got {dims}")
-    return np.zeros(dims, dtype=np.float64)
 
 
 def as_tensor(data) -> np.ndarray:

@@ -30,8 +30,7 @@ import numpy as np
 
 from .data import AugmentConfig, augment
 from .metrics import auc
-from .mil import (bag_prob, class_weights, miml_class_weights, miml_loss,
-                  weighted_mil_loss)
+from .mil import class_weights, weighted_mil_loss
 from .model import Model, save_checkpoint
 
 __all__ = [
@@ -250,7 +249,7 @@ def gradcheck_problem(model_cfg, seed: int = 0, image_size: int = 8, mode: str =
 
     def loss_only():
         probs, _ = model.forward_batch(images, keep_cache=False)
-        return sum(_bag_loss(model, p, y, weights)[0] for p, y in zip(probs, labels))
+        return sum(_bag_loss(p, y, weights)[0] for p, y in zip(probs, labels))
 
     return model, loss_and_grads, loss_only
 
@@ -274,19 +273,16 @@ def _passes(order, images):
         yield run
 
 
-def _bag_loss(model: Model, probs, y, weights):
+def _bag_loss(probs, y, weights):
     """(loss, d loss / d patch probabilities) of one bag."""
-    if model.cfg.task == "mil":
-        loss, grads_p = weighted_mil_loss([(probs, y)], weights)
-    else:
-        loss, grads_p = miml_loss([(probs, y)], weights)
+    loss, grads_p = weighted_mil_loss([(probs, y)], weights)
     return loss, grads_p[0]
 
 
 def _add_pass(model: Model, images, labels, weights, mode: str, acc: dict):
     """Run one pass and add its bags' gradients into acc in bag order; returns their losses."""
     probs, cache = model.forward_batch(np.stack(images))
-    losses, grads_p = zip(*(_bag_loss(model, p, y, weights) for p, y in zip(probs, labels)))
+    losses, grads_p = zip(*(_bag_loss(p, y, weights) for p, y in zip(probs, labels)))
     for name, per_bag in model.backward_batch(cache, grads_p, mode=mode).items():
         for g in per_bag:
             acc[name] += g
@@ -314,8 +310,9 @@ def batch_loss_and_grads(model: Model, images, labels, weights, mode: str = "exa
 def evaluate(model: Model, bags, weights=None):
     """Bag-level scores, labels, and mean loss over a dataset.
 
-    For the multi-label task scores are [n, C] per-class maxima. Bags of
-    equal shape are scored in forward-only passes of up to PASS_BAGS.
+    Scores are bag maxima: [n] for the single-label task, [n, C] per-class
+    maxima for the multi-label one. Bags of equal shape are scored in
+    forward-only passes of up to PASS_BAGS.
     """
     images = [img for img, _ in bags]
     by_shape: dict[tuple, list] = {}
@@ -326,12 +323,9 @@ def evaluate(model: Model, bags, weights=None):
     for run in _passes([i for group in by_shape.values() for i in group], images):
         probs, _ = model.forward_batch(np.stack([images[i] for i in run]), keep_cache=False)
         for i, p in zip(run, probs):
-            if model.cfg.task == "mil":
-                scores[i] = bag_prob(p)
-            else:
-                scores[i] = np.asarray(p.p).max(axis=1)
+            scores[i] = p.p.max(axis=-1)
             if weights is not None:
-                losses[i] = _bag_loss(model, p, bags[i][1], weights)[0]
+                losses[i] = _bag_loss(p, bags[i][1], weights)[0]
     total = 0.0
     for loss in losses:  # in bag order; the built-in sum compensates from Python 3.12 on
         total += loss
@@ -353,11 +347,7 @@ def train_model(model: Model, train_bags, val_bags, cfg: OptimizerConfig,
     lr_decay_factor every lr_decay_every epochs; SGD decays on a validation
     plateau. Raises NumericsError if the loss goes non-finite.
     """
-    train_labels = [y for _, y in train_bags]
-    if model.cfg.task == "mil":
-        weights = class_weights(train_labels)
-    else:
-        weights = miml_class_weights(np.asarray(train_labels))
+    weights = class_weights([y for _, y in train_bags])
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -392,11 +382,9 @@ def train_model(model: Model, train_bags, val_bags, cfg: OptimizerConfig,
         train_loss = epoch_loss / len(train_bags)
 
         val_scores, val_labels, val_loss = evaluate(model, val_bags, weights)
-        if model.cfg.task == "mil":
-            val_auc = auc(val_scores, val_labels)
-        else:
-            val_auc = float(np.mean([auc(val_scores[:, c], np.asarray(val_labels)[:, c])
-                                     for c in range(val_scores.shape[1])]))
+        # mean over label channels: columns of [n, C], or the one row of [n]
+        val_auc = float(np.mean([auc(s, y) for s, y in zip(np.atleast_2d(val_scores.T),
+                                                            np.atleast_2d(val_labels.T))]))
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_loss": val_loss, "val_auc": val_auc})
 

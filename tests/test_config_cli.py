@@ -205,7 +205,7 @@ class TestCLI:
                                           "model.in_channels=0", "optimizer.lr_decay_every=0",
                                           "data.lesion_min=3", "data.radius_min=4",
                                           "data.noise_prob=2", "model.task=miml",
-                                          "model.n_labels=0",
+                                          "model.n_labels=0", "model.n_labels=3",
                                           "optimizer.plateau_patience=0",
                                           "optimizer.momentum=1", "optimizer.momentum=-0.1",
                                           "optimizer.weight_decay=-1e-4",

@@ -4,8 +4,8 @@ import pytest
 from conftest import fd_grad, rel_err
 from deformgabor.mil import (MILHead, PatchProbabilities, bag_prob,
                              class_weights, head_backward, mil_loss,
-                             miml_class_weights, miml_loss, patch_probs,
-                             save_heatmap, weighted_mil_loss)
+                             miml_loss, patch_probs, save_heatmap,
+                             weighted_mil_loss)
 
 
 def probs_of(p):
@@ -144,6 +144,12 @@ class TestWeights:
         with pytest.raises(ValueError):
             class_weights([1, 1, 1])
 
+    def test_single_label_is_the_one_channel_row(self):
+        labels = [1, 0, 0, 1, 0]
+        w = class_weights(labels)
+        assert w.shape == (2,)
+        assert np.array_equal(class_weights(np.reshape(labels, (-1, 1))), w[None])
+
 
 class TestWeightedMIL:
     def test_unit_weights_match_exactly(self):
@@ -199,9 +205,15 @@ class TestMIML:
         loss, _ = miml_loss([(PatchProbabilities(p=p, grid=(1, 1)), [1, 0])], weights=w)
         assert loss == pytest.approx(-3.0 * np.log(0.6) - 2.0 * np.log(0.8), abs=1e-12)
 
+    def test_labels_and_weights_must_match_channels(self):
+        probs = PatchProbabilities(p=np.array([[0.6, 0.1], [0.2, 0.05]]), grid=(1, 2))
+        for y, w in (([1], None), ([1, 0, 1], None), ([1, 0], {0: 1.0, 1: 2.0})):
+            with pytest.raises(ValueError, match="label channels"):
+                weighted_mil_loss([(probs, y)], w)
+
     def test_frequency_weights(self):
         labels = np.array([[1, 0], [0, 0], [1, 1], [1, 0]])
-        w = miml_class_weights(labels)
+        w = class_weights(labels)
         assert w[0, 1] == pytest.approx(4 / 3)
         assert w[0, 0] == pytest.approx(4.0)
         assert w[1, 1] == pytest.approx(4.0)

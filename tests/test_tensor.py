@@ -4,7 +4,7 @@ import pytest
 from conftest import fd_grad, rel_err
 from deformgabor.tensor import (conv2d, conv2d_backward, conv2d_naive, dump_csv,
                                 load_container, load_tensor, save_container,
-                                save_tensor, zeros)
+                                save_tensor)
 
 
 def conv_scatter_oracle(x, w, stride=1, pad=0):
@@ -24,20 +24,6 @@ def conv_scatter_oracle(x, w, stride=1, pad=0):
                         if r1 == 0 and r2 == 0 and 0 <= oy < ho and 0 <= ox < wo:
                             out[:, oy, ox] += w[:, c, k, l] * x[c, iy, ix]
     return out
-
-
-class TestZeros:
-    def test_basic(self):
-        np.testing.assert_array_equal(zeros([2, 2]), np.zeros((2, 2)))
-        np.testing.assert_array_equal(zeros([1]), np.zeros(1))
-        z = zeros([3, 1, 2])
-        assert z.shape == (3, 1, 2) and z.size == 6 and not z.any()
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            zeros([])
-        with pytest.raises(ValueError):
-            zeros([2, 0])
 
 
 class TestNaiveConv:

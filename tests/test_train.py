@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deformgabor.data import SynthLesionSpec, build_bags
-from deformgabor.mil import bag_prob, class_weights, miml_class_weights, miml_loss, weighted_mil_loss
+from deformgabor.mil import class_weights, weighted_mil_loss
 from deformgabor.model import Model, ModelConfig, matched_plain_config
 from deformgabor.train import (NumericsError, OptimizerConfig, adam_step,
                                batch_loss_and_grads, evaluate, fd_grad, grad_check,
@@ -263,6 +263,7 @@ BATCH_CONFIGS = {
     "plain_blocks0": ModelConfig(widths=(2, 4), plain_blocks=0, U=2, V=2, H=3),
     "H5": ModelConfig(widths=(2, 4), plain_blocks=1, U=2, V=2, H=5),
     "miml": ModelConfig(widths=(2, 4), plain_blocks=1, U=2, V=2, task="miml", n_labels=2),
+    "miml1": ModelConfig(widths=(2, 4), plain_blocks=1, U=2, V=2, task="miml", n_labels=1),
 }
 
 
@@ -279,21 +280,16 @@ def deformed_model(cfg, seed=0):
 
 
 def bags_for(cfg, sizes, seed=0):
+    """Images with labels shaped like the head's rows: label channel c of bag i is bit c of i."""
     rng = np.random.default_rng(seed)
     images = [rng.random((1, s, s)) for s in sizes]
-    if cfg.task == "mil":
-        labels = [i % 2 for i in range(len(sizes))]
-        weights = class_weights(labels)
-    else:
-        labels = [[i % 2, (i // 2) % 2] for i in range(len(sizes))]
-        weights = miml_class_weights(np.asarray(labels))
-    return images, labels, weights
+    bits = [[(i >> c) % 2 for c in range(cfg.n_labels)] for i in range(len(sizes))]
+    labels = list(np.reshape(bits, (len(sizes),) + cfg.head_shape()[:-1]))
+    return images, labels, class_weights(labels)
 
 
-def bag_loss(cfg, probs, y, weights):
-    if cfg.task == "mil":
-        return weighted_mil_loss([(probs, y)], weights)
-    return miml_loss([(probs, y)], weights)
+def bag_loss(probs, y, weights):
+    return weighted_mil_loss([(probs, y)], weights)
 
 
 def bag_by_bag(model, images, labels, weights, mode):
@@ -302,7 +298,7 @@ def bag_by_bag(model, images, labels, weights, mode):
     acc = {}
     for img, y in zip(images, labels):
         probs, cache = model.forward(img)
-        loss, gp = bag_loss(model.cfg, probs, y, weights)
+        loss, gp = bag_loss(probs, y, weights)
         total += loss
         for name, g in model.backward(cache, gp[0], mode=mode).items():
             if name in acc:
@@ -349,9 +345,8 @@ class TestBatchedPasses:
         ref_loss = 0.0
         for i, (img, y) in enumerate(zip(images, labels)):
             probs, _ = model.forward(img)
-            want = bag_prob(probs) if cfg.task == "mil" else np.asarray(probs.p).max(axis=1)
-            assert np.array_equal(scores[i], want), i
-            ref_loss += bag_loss(cfg, probs, y, weights)[0]
+            assert np.array_equal(scores[i], probs.p.max(axis=-1)), i
+            ref_loss += bag_loss(probs, y, weights)[0]
         assert loss == ref_loss / len(images)
         assert np.array_equal(got_labels, np.asarray(labels))
 
@@ -402,14 +397,14 @@ def test_gradcheck_problem_equals_per_image_loop(task, mode):
     model, loss_and_grads, loss_only = gradcheck_problem(cfg, seed=3, mode=mode)
     images, labels, weights = gradcheck_bags(cfg, seed=3)
 
-    assert loss_only() == sum(bag_loss(cfg, model.forward(img)[0], y, weights)[0]
+    assert loss_only() == sum(bag_loss(model.forward(img)[0], y, weights)[0]
                               for img, y in zip(images, labels))
 
     ref_total = 0.0
     ref = {k: np.zeros_like(v) for k, v in model.params.items()}
     for img, y in zip(images, labels):
         probs, cache = model.forward(img)
-        loss, gp = bag_loss(cfg, probs, y, weights)
+        loss, gp = bag_loss(probs, y, weights)
         ref_total += loss
         for k, g in model.backward(cache, gp[0], mode=mode).items():
             ref[k] += g
@@ -418,3 +413,38 @@ def test_gradcheck_problem_equals_per_image_loop(task, mode):
     assert grads.keys() == ref.keys()
     for k, g in grads.items():
         assert np.array_equal(g, ref[k]), k
+
+
+# ---------------------------------------------------------------------------
+# The single-label task is the one-label case of the multi-label task.
+# ---------------------------------------------------------------------------
+
+def test_one_label_miml_equals_mil():
+    """task=miml with n_labels=1 trains and scores as task=mil bit for bit, up to the head's shape."""
+    mil = ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=2, H=3)
+    miml = ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=2, H=3, task="miml", n_labels=1)
+    models = {cfg.task: Model(cfg, np.random.default_rng(4)) for cfg in (mil, miml)}
+    assert models["mil"].params["head.w"].shape == (mil.head_channels(),)
+    assert models["miml"].params["head.w"].shape == (1, mil.head_channels())
+
+    def same_params():
+        a, b = models["mil"].params, models["miml"].params
+        return a.keys() == b.keys() and all(np.array_equal(a[k], b[k].reshape(a[k].shape))
+                                            for k in a)
+
+    assert same_params()
+    bags = tiny_dataset(16, seed=2)
+    as_miml = [(img, [y]) for img, y in bags]
+    opt = cfg9(kind="adam", lr_filters=0.01, lr_masks=0.01, epochs=2)
+    h_mil = train_model(models["mil"], bags[:12], bags[12:], opt)
+    h_miml = train_model(models["miml"], as_miml[:12], as_miml[12:], opt)
+    assert h_mil == h_miml
+    assert same_params()
+
+    weights = class_weights([y for _, y in bags])
+    assert np.array_equal(class_weights([y for _, y in as_miml]), weights[None])
+    s_mil, y_mil, l_mil = evaluate(models["mil"], bags, weights)
+    s_miml, y_miml, l_miml = evaluate(models["miml"], as_miml, weights[None])
+    assert s_miml.shape == (16, 1)
+    assert np.array_equal(s_mil, s_miml[:, 0]) and np.array_equal(y_mil, y_miml[:, 0])
+    assert l_mil == l_miml
