@@ -15,8 +15,8 @@ from .layer import (DGConvParams, LayerShape, dgconv_backward, dgconv_forward,
 from .deform import (OffsetPredictor, bilinear_sample, deform_conv_backward,
                      deform_conv_forward, predict_offsets, zero_predictor)
 from .metrics import accuracy, auc
-from .mil import (MILHead, PatchProbabilities, bag_prob, class_weights,
-                  mil_loss, miml_loss, patch_probs, weighted_mil_loss)
+from .mil import (PatchProbabilities, bag_prob, class_weights, mil_loss, miml_loss,
+                  patch_probs, weighted_mil_loss)
 from .model import Model, ModelConfig, matched_plain_config, total_params
 from .tensor import conv2d, conv2d_naive, load_container, load_tensor, save_container, save_tensor
 from .train import (OptimizerConfig, adam_step, fd_grad, grad_check, rel_err, sgd_step,

@@ -120,11 +120,6 @@ class DGConvParams:
     offset_pred: OffsetPredictor
     gabor: GaborBank
 
-    @property
-    def shape(self) -> LayerShape:
-        m, n, u, h, _ = self.conv_filters.shape
-        return LayerShape(U=u, V=self.masks.shape[0], H=h, N=n, M=m, N0=n, M0=m)
-
     def scalar_counts(self) -> dict:
         """Actual learnable scalar counts, for cross-checking param_count."""
         return {

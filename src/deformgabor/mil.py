@@ -21,7 +21,6 @@ from .ioutils import save_pgm, upscale_nearest
 from .tensor import as_tensor, dump_csv
 
 __all__ = [
-    "MILHead",
     "PatchProbabilities",
     "sigmoid",
     "patch_probs",
@@ -35,19 +34,6 @@ __all__ = [
 ]
 
 PROB_EPS = 1e-12  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before log
-
-
-@dataclass
-class MILHead:
-    """Logistic weights shared across patch positions.
-
-    w is [C_labels, C_feat], one row per label channel; the single-label
-    task's [C_feat] is one row. b is [C_labels] (a scalar also serves one
-    row).
-    """
-
-    w: np.ndarray
-    b: np.ndarray | float
 
 
 @dataclass
@@ -67,38 +53,47 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def patch_probs(features: np.ndarray, head: MILHead):
+def patch_probs(features: np.ndarray, w: np.ndarray, b):
     """Score every patch: p_lij = sigmoid(w_l . F[:, i, j] + b_l), flattened row-major.
 
-    features: a batch [B, C_feat, rows, cols] of bags; returns a list of B
+    The logistic head is shared across patch positions: w is [C_labels,
+    C_feat], one row per label channel, and the single-label task's [C_feat]
+    is one row; b is [C_labels] (a scalar also serves one row). features: a
+    batch [B, C_feat, rows, cols] of bags; returns a list of B
     PatchProbabilities, scored with one einsum and one sigmoid for the
     whole batch. Each bag's p is [L, K], or [K] for a 1-D head. A bag's
     probabilities do not depend on the other bags in its batch, bit for
-    bit; one bag is scored as `patch_probs(f[None], head)[0]`.
+    bit; one bag is scored as `patch_probs(f[None], w, b)[0]`.
     """
     features = as_tensor(features)
-    w = as_tensor(head.w)
+    w = as_tensor(w)
     if features.ndim != 4:
         raise ValueError(f"features must be a batch [B, C, rows, cols], got {features.shape}")
     n_bags, c_feat, rows, cols = features.shape
     if w.shape[-1] != c_feat:
         raise ValueError(f"head expects {w.shape[-1]} feature channels, got {c_feat}")
     z = np.einsum("lc,bcrk->blrk", w.reshape(-1, c_feat), features)
-    z += np.asarray(head.b, dtype=np.float64).reshape(-1, 1, 1)
+    z += np.asarray(b, dtype=np.float64).reshape(-1, 1, 1)
     p = sigmoid(z).reshape((n_bags,) + w.shape[:-1] + (-1,))
     return [PatchProbabilities(p=pb, grid=(rows, cols)) for pb in p]
 
 
-def head_backward(grad_p: np.ndarray, features: np.ndarray, head: MILHead,
-                  probs: PatchProbabilities):
-    """Backprop through the sigmoid head: returns (grad_w, grad_b [L], grad_features)."""
+def head_backward(grad_ps, features: np.ndarray, w: np.ndarray, probs):
+    """Backprop a pass through the sigmoid head, per bag.
+
+    grad_ps and probs hold one d(loss)/d(p) and one PatchProbabilities per
+    bag of the pass whose features are [B, C_feat, rows, cols]. Returns
+    (grad_w [B, *w.shape], grad_b [B, L], grad_features [B, C_feat, rows,
+    cols]); bag b's slices equal a one-bag call on that bag, bit for bit.
+    """
     features = as_tensor(features)
-    w = as_tensor(head.w)
+    w = as_tensor(w)
     rows_w = w.reshape(-1, w.shape[-1])
-    gz = (grad_p * probs.p * (1.0 - probs.p)).reshape((len(rows_w),) + probs.grid)
-    grad_w = np.einsum("lrk,crk->lc", gz, features).reshape(w.shape)
-    grad_b = gz.sum(axis=(1, 2))
-    grad_f = np.einsum("lc,lrk->crk", rows_w, gz)
+    p = np.stack([pr.p for pr in probs]).reshape((len(probs), len(rows_w)) + features.shape[-2:])
+    gz = np.reshape(grad_ps, p.shape) * p * (1.0 - p)
+    grad_w = np.einsum("blrk,bcrk->blc", gz, features).reshape((len(probs),) + w.shape)
+    grad_b = gz.sum(axis=(2, 3))
+    grad_f = np.einsum("lc,blrk->bcrk", rows_w, gz)
     return grad_w, grad_b, grad_f
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import layer as dg
 from .gabor import GaborBank, make_bank
-from .mil import MILHead, head_backward, patch_probs
+from .mil import head_backward, patch_probs
 from .tensor import as_tensor, conv2d, conv2d_backward, load_container, save_container
 
 __all__ = [
@@ -94,10 +94,6 @@ class ModelConfig:
         return (c_feat,) if self.task == "mil" else (self.n_labels, c_feat)
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
 def _avgpool2(x):
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
@@ -146,10 +142,6 @@ class Model:
         self.params["head.w"] = 0.01 * rng.standard_normal(cfg.head_shape())
         self.params["head.b"] = np.zeros(cfg.n_labels)
 
-    @property
-    def head(self) -> MILHead:
-        return MILHead(w=self.params["head.w"], b=self.params["head.b"])
-
     def forward(self, image: np.ndarray):
         """image: [in_channels, W, W] -> (PatchProbabilities, cache for backward).
 
@@ -184,12 +176,11 @@ class Model:
                 # [B, N, h, w] maps, which all U orientations read; the layer returns
                 # [B, U, M, h, w] either way.
                 pre, block_cache = dg.dgconv_forward_batch(x, self.dg_params[i], stride=1, pad=pad)
-            act = _relu(pre)
-            x = _avgpool2(act)
+            x = _avgpool2(np.maximum(pre, 0.0))
             if keep_cache:
                 caches.append((i, block_cache, pre))
         feat = x.reshape(x.shape[0], -1, x.shape[-2], x.shape[-1])  # [B, U*M, h, w] if oriented
-        probs = patch_probs(feat, self.head)
+        probs = patch_probs(feat, self.params["head.w"], self.params["head.b"])
         return probs, ((caches, feat, probs) if keep_cache else None)
 
     def backward(self, cache, grad_p: np.ndarray, mode: str = "exact") -> dict:
@@ -207,11 +198,8 @@ class Model:
         to the images, is never formed.
         """
         caches, feat, probs = cache
-        head = self.head
-        head_grads = [head_backward(gp, f, head, pr) for gp, f, pr in zip(grad_ps, feat, probs)]
-        grads = {"head.w": np.stack([gw for gw, _, _ in head_grads]),
-                 "head.b": np.stack([gb for _, gb, _ in head_grads])}
-        g = np.stack([gf for _, _, gf in head_grads])
+        grad_w, grad_b, g = head_backward(grad_ps, feat, self.params["head.w"], probs)
+        grads = {"head.w": grad_w, "head.b": grad_b}
         pad = (self.cfg.H - 1) // 2
         for i, block_cache, pre in reversed(caches):
             if g.ndim < pre.ndim:  # arrived flattened from the head

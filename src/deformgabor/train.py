@@ -311,7 +311,8 @@ def evaluate(model: Model, bags, weights=None):
     """Bag-level scores, labels, and mean loss over a dataset.
 
     Scores are bag maxima: [n] for the single-label task, [n, C] per-class
-    maxima for the multi-label one. Bags of equal shape are scored in
+    maxima for the multi-label one. The loss is `weighted_mil_loss` with
+    weights, unit weights when None. Bags of equal shape are scored in
     forward-only passes of up to PASS_BAGS.
     """
     images = [img for img, _ in bags]
@@ -324,17 +325,11 @@ def evaluate(model: Model, bags, weights=None):
         probs, _ = model.forward_batch(np.stack([images[i] for i in run]), keep_cache=False)
         for i, p in zip(run, probs):
             scores[i] = p.p.max(axis=-1)
-            if weights is not None:
-                losses[i] = _bag_loss(p, bags[i][1], weights)[0]
+            losses[i] = _bag_loss(p, bags[i][1], weights)[0]
     total = 0.0
     for loss in losses:  # in bag order; the built-in sum compensates from Python 3.12 on
         total += loss
     return np.asarray(scores), np.asarray([y for _, y in bags]), total / max(len(bags), 1)
-
-
-def _chunks(seq, size):
-    for i in range(0, len(seq), size):
-        yield seq[i:i + size]
 
 
 def train_model(model: Model, train_bags, val_bags, cfg: OptimizerConfig,
@@ -364,7 +359,8 @@ def train_model(model: Model, train_bags, val_bags, cfg: OptimizerConfig,
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(train_bags))
         epoch_loss = 0.0
-        for batch_idx in _chunks(order, cfg.batch_size):
+        for start in range(0, len(order), cfg.batch_size):
+            batch_idx = order[start:start + cfg.batch_size]
             images = []
             labels = []
             for j in batch_idx:

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
-from deformgabor.mil import (MILHead, PatchProbabilities, bag_prob,
-                             class_weights, head_backward, mil_loss,
-                             miml_loss, patch_probs, save_heatmap,
-                             weighted_mil_loss)
+from deformgabor.mil import (PatchProbabilities, bag_prob, class_weights,
+                             head_backward, mil_loss, miml_loss, patch_probs,
+                             save_heatmap, weighted_mil_loss)
 
 
 def probs_of(p):
@@ -16,33 +15,33 @@ def probs_of(p):
 class TestPatchProbs:
     def test_zero_head_gives_half(self):
         f = np.random.default_rng(0).standard_normal((1, 3, 2, 2))
-        [out] = patch_probs(f, MILHead(w=np.zeros(3), b=0.0))
+        [out] = patch_probs(f, np.zeros(3), 0.0)
         np.testing.assert_array_equal(out.p, np.full(4, 0.5))
         assert out.grid == (2, 2)
 
     def test_saturated_bias(self):
         f = np.zeros((1, 2, 2, 2))
-        [out] = patch_probs(f, MILHead(w=np.zeros(2), b=20.0))
+        [out] = patch_probs(f, np.zeros(2), 20.0)
         np.testing.assert_allclose(out.p, 1.0, atol=1e-8)
 
     def test_hand_computed_sigmoid(self):
         f = np.array([1.0, 2.0]).reshape(1, 2, 1, 1)
-        [out] = patch_probs(f, MILHead(w=np.array([0.5, -0.25]), b=0.1))
+        [out] = patch_probs(f, np.array([0.5, -0.25]), 0.1)
         assert out.p[0] == pytest.approx(0.5249791874789399, abs=1e-12)
 
     def test_multilabel_shape(self):
         rng = np.random.default_rng(1)
         f = rng.standard_normal((1, 3, 2, 2))
-        [out] = patch_probs(f, MILHead(w=rng.standard_normal((5, 3)), b=np.zeros(5)))
+        [out] = patch_probs(f, rng.standard_normal((5, 3)), np.zeros(5))
         assert out.p.shape == (5, 4)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            patch_probs(np.zeros((1, 3, 2, 2)), MILHead(w=np.zeros(4), b=0.0))
+            patch_probs(np.zeros((1, 3, 2, 2)), np.zeros(4), 0.0)
 
     def test_single_image_rejected(self):
         with pytest.raises(ValueError, match="batch"):
-            patch_probs(np.zeros((3, 2, 2)), MILHead(w=np.zeros(3), b=0.0))
+            patch_probs(np.zeros((3, 2, 2)), np.zeros(3), 0.0)
 
     def test_head_backward_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -52,10 +51,10 @@ class TestPatchProbs:
         gp = rng.standard_normal(4)
 
         def loss():
-            return float(np.sum(patch_probs(f[None], MILHead(w=w, b=b))[0].p * gp))
+            return float(np.sum(patch_probs(f[None], w, b)[0].p * gp))
 
-        [probs] = patch_probs(f[None], MILHead(w=w, b=b))
-        gw, gb, gf = head_backward(gp, f, MILHead(w=w, b=b), probs)
+        probs = patch_probs(f[None], w, b)
+        [gw], _, [gf] = head_backward([gp], f[None], w, probs)
         assert rel_err(gw, fd_grad(loss, w)) < 1e-7
         assert rel_err(gf, fd_grad(loss, f)) < 1e-7
 
@@ -246,13 +245,22 @@ class TestBatchedPatchProbs:
         rng = np.random.default_rng(n_bags)
         feats = rng.standard_normal((n_bags, 4, 3, 2)) * 3
         if labels is None:
-            head = MILHead(w=rng.standard_normal(4), b=0.3)
+            w, b = rng.standard_normal(4), 0.3
         else:
-            head = MILHead(w=rng.standard_normal((labels, 4)), b=rng.standard_normal(labels))
-        batch = patch_probs(feats, head)
+            w, b = rng.standard_normal((labels, 4)), rng.standard_normal(labels)
+        batch = patch_probs(feats, w, b)
         assert len(batch) == n_bags
-        for f, got in zip(feats, batch):
-            [want] = patch_probs(f[None], head)
+        grad_ps = [rng.standard_normal(pr.p.shape) for pr in batch]
+        grad_w, grad_b, grad_f = head_backward(grad_ps, feats, w, batch)
+        assert grad_w.shape == (n_bags,) + w.shape
+        assert grad_b.shape == (n_bags, 1 if labels is None else labels)
+        assert grad_f.shape == feats.shape
+        for i, (f, got) in enumerate(zip(feats, batch)):
+            [want] = patch_probs(f[None], w, b)
             assert got.grid == want.grid == (3, 2)
             assert got.p.shape == want.p.shape
             assert np.array_equal(got.p, want.p)
+            # the pass's head gradients are its bags' one-bag calls, bit for bit
+            one = head_backward([grad_ps[i]], f[None], w, [want])
+            for pass_grad, bag_grad in zip((grad_w, grad_b, grad_f), one):
+                assert np.array_equal(pass_grad[i], bag_grad[0])

@@ -223,6 +223,16 @@ class TestTrainingLoop:
         assert np.isfinite(loss)
         assert ((0 < scores) & (scores < 1)).all()
 
+    def test_evaluate_without_weights_reports_unit_weight_loss(self):
+        model = Model(ModelConfig(widths=(2,), plain_blocks=1), np.random.default_rng(2))
+        bags = tiny_dataset(6, seed=5)
+        want = 0.0
+        for img, y in bags:  # in bag order
+            want += weighted_mil_loss([(model.forward(img)[0], y)])[0]
+        loss = evaluate(model, bags)[2]
+        assert loss == want / len(bags)
+        assert loss > 0
+
     def test_loss_strictly_decreases_early(self):
         # frozen observation on the seeded run: the first five epochs all improve
         from deformgabor.data import SynthLesionSpec, build_bags as bb
