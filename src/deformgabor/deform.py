@@ -19,10 +19,11 @@ tap's top-left corner is clipped into the frame while still a float, so
 a tap's two rows (and two columns) are both real or both border, and a
 read outside the image is a read of the border, with no corner masks and
 no integer cast of a far coordinate. Each bag's taps are read with one
-flat `np.take` for all four corners, shared by its planes, and scattered
-back into framed planes with one `np.bincount` per corner before the
-frame is cropped, so a bag's result does not depend on the others in its
-batch, bit for bit.
+flat `np.take` for all four corners, shared by its planes, into one
+corner buffer that the interpolation and the offset slopes both read.
+Gradients to the planes are scattered back into framed planes with one
+`np.bincount` per corner before the frame is cropped, so a bag's result
+does not depend on the others in its batch, bit for bit.
 
 At exactly-integer sampling coordinates the bilinear kernel is not
 differentiable; the floor-based corner weights below give the right
@@ -96,16 +97,13 @@ class _SampleCache:
     """Corner bookkeeping for a batch of bilinear reads, kept for backward.
 
     Per-tap arrays are [B, 1, *grid], so they broadcast over the plane
-    axis of the corner values [B, C, *grid].
+    axis of the corner buffer [B, C, 4, *grid].
     """
 
-    base: np.ndarray  # flat index of the top-left corner in a framed plane
-    fy: np.ndarray    # fractional parts
+    base: np.ndarray     # flat index of the top-left corner in a framed plane
+    fy: np.ndarray       # fractional parts
     fx: np.ndarray
-    v00: np.ndarray   # corner values per plane, zero outside the image
-    v01: np.ndarray
-    v10: np.ndarray
-    v11: np.ndarray
+    corners: np.ndarray  # [B, C, 4, *grid]: values at corners 00, 01, 10, 11, zero outside
     plane_shape: tuple
     single: bool = False  # built from one unbatched image: results drop the bag axis
 
@@ -148,14 +146,17 @@ def _gather(planes: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> _SampleCache:
     taken = corners.reshape(b, cin, idx.shape[1])
     for i in range(b):
         np.take(flat[i], idx[i], axis=1, out=taken[i], mode="clip")
-    v00, v01, v10, v11 = (corners[:, :, k] for k in range(4))  # views of one buffer
-    return _SampleCache(base, fy, fx, v00, v01, v10, v11, (hi, wi))
+    return _SampleCache(base, fy, fx, corners, (hi, wi))
 
 
 def _interp(c: _SampleCache) -> np.ndarray:
-    gy = 1 - c.fy
-    gx = 1 - c.fx
-    return gy * gx * c.v00 + gy * c.fx * c.v01 + c.fy * gx * c.v10 + c.fy * c.fx * c.v11
+    """Interpolated reads [B, C, *grid], read from the corner buffer: the
+    four bilinear weights are stacked per tap ([B, 4, *grid], shared by
+    the planes) and contracted with the buffer in one einsum."""
+    fy, fx = c.fy[:, 0], c.fx[:, 0]
+    gy, gx = 1 - fy, 1 - fx
+    weights = np.stack([gy * gx, gy * fx, fy * gx, fy * fx], axis=1)
+    return np.einsum("bk...,bck...->bc...", weights, c.corners)
 
 
 def bilinear_sample(plane: np.ndarray, y: float, x: float) -> float:
@@ -220,12 +221,18 @@ def sample_values(cache: _SampleCache) -> np.ndarray:
 
 
 def _offset_grad(c: _SampleCache, grad_samples: np.ndarray) -> np.ndarray:
-    """[B, 2*H*H, Ho, Wo]: one offset field serves every plane of a bag, so
-    the slopes are reduced over the plane axis."""
-    dvdy = (1 - c.fx) * (c.v10 - c.v00) + c.fx * (c.v11 - c.v01)
-    dvdx = (1 - c.fy) * (c.v01 - c.v00) + c.fy * (c.v11 - c.v10)
-    return np.concatenate([(grad_samples * dvdy).sum(axis=1),
-                           (grad_samples * dvdx).sum(axis=1)], axis=1)
+    """[B, 2*H*H, Ho, Wo]: one offset field serves every plane of a bag.
+
+    The slopes are linear in the corner values, so the plane axis is
+    reduced first: the upstream gradient and the corner buffer contract
+    to four per-tap sums s_k = sum_c g * v_k, and the dy/dx slopes are
+    formed on those [B, 4, *grid] sums alone.
+    """
+    sums = np.einsum("bc...,bck...->bk...", grad_samples, c.corners)
+    s00, s01, s10, s11 = (sums[:, k] for k in range(4))
+    fy, fx = c.fy[:, 0], c.fx[:, 0]
+    return np.concatenate([(1 - fx) * (s10 - s00) + fx * (s11 - s01),
+                           (1 - fy) * (s01 - s00) + fy * (s11 - s10)], axis=1)
 
 
 def sample_backward(cache: _SampleCache, grad_samples: np.ndarray, need_input: bool = True):

@@ -10,7 +10,8 @@ the deformable and Gabor paths. `conv2d` is the fast path the layers
 actually run: im2col, i.e. the sliding windows copied into a
 [Cin*kh*kw, Ho*Wo] column matrix, then one matrix product with the
 weights flattened to [Cout, Cin*kh*kw]. Its backward is two more
-products with the same columns and a tap-by-tap scatter.
+products with the same columns, and the input gradient's col2im is one
+`np.bincount` of the column gradient over a cached flat index.
 
 `conv2d` and `conv2d_backward` take only a batch [B, Cin, Hi, Wi] of
 bags; a single image is a batch of one, `x[None]`. The columns keep the
@@ -23,6 +24,7 @@ whatever order it needs.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -89,12 +91,15 @@ def conv2d_naive(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) ->
 def _windows(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int = 1) -> np.ndarray:
     """Read-only view [..., kh, kw, Ho, Wo] of the windows over xp's last two axes.
 
-    xp is already padded; window (i, j) starts at (i*stride, j*stride).
+    xp is already padded and owns its C-contiguous buffer; window (i, j)
+    starts at (i*stride, j*stride). Built with `np.ndarray` rather than
+    `as_strided`, which costs several times more per call.
     """
     sy, sx = xp.strides[-2:]
-    return np.lib.stride_tricks.as_strided(
-        xp, xp.shape[:-2] + (kh, kw, ho, wo),
-        xp.strides[:-2] + (sy, sx, sy * stride, sx * stride), writeable=False)
+    view = np.ndarray(xp.shape[:-2] + (kh, kw, ho, wo), xp.dtype, xp, 0,
+                      xp.strides[:-2] + (sy, sx, sy * stride, sx * stride))
+    view.setflags(write=False)
+    return view
 
 
 def _columns(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
@@ -125,15 +130,40 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.nd
     return (w.reshape(w.shape[0], -1) @ cols).reshape(len(x), w.shape[0], ho, wo)
 
 
+@functools.lru_cache(maxsize=64)
+def _col2im_index(planes: int, hi: int, wi: int, kh: int, kw: int,
+                  stride: int, pad: int) -> np.ndarray:
+    """Flat pixel of every column entry [planes, kh, kw, Ho, Wo]; read-only, shared.
+
+    Entry (p, k, l, y, x) is tap (k, l) of output position (y, x) on plane
+    p, i.e. input pixel (y*stride + k - pad, x*stride + l - pad) of that
+    plane, flattened over [planes, Hi, Wi]. Taps that land in the padding
+    all go to the one extra bin planes*Hi*Wi, which the caller drops.
+    """
+    ho = _out_size(hi, kh, stride, pad)
+    wo = _out_size(wi, kw, stride, pad)
+    rows = (np.arange(kh)[:, None] + stride * np.arange(ho) - pad)[:, None, :, None]
+    cols = (np.arange(kw)[:, None] + stride * np.arange(wo) - pad)[None, :, None, :]
+    inside = (rows >= 0) & (rows < hi) & (cols >= 0) & (cols < wi)  # [kh, kw, Ho, Wo]
+    plane = (np.arange(planes) * (hi * wi))[:, None, None, None, None]
+    index = np.where(inside, plane + rows * wi + cols, planes * hi * wi).ravel()
+    index.setflags(write=False)
+    return index
+
+
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int = 1, pad: int = 0, need_input: bool = True):
     """Gradients of conv2d: returns (grad_x, grad_w).
 
     grad_w multiplies the upstream gradient by the forward's columns;
-    grad_x maps it back to columns (col2im) and scatters them tap by tap
-    into the padded frame, then crops. grad_x is [B, Cin, Hi, Wi] like x,
-    and grad_w is per bag, [B, Cout, Cin, kh, kw]. With need_input=False
-    grad_x is None and neither step runs.
+    grad_x maps it back to columns and sums them into the input (col2im)
+    with one `np.bincount` over a cached index. The index runs in column
+    order, so each pixel adds its taps in (k, l) order starting from
+    zero, as a tap-by-tap loop of strided adds would, bit for bit, and
+    padding taps land in a bin that is dropped. grad_x is
+    [B, Cin, Hi, Wi] like x, and grad_w is per bag,
+    [B, Cout, Cin, kh, kw]. With need_input=False grad_x is None and
+    neither step runs.
     """
     x = as_tensor(x)
     w = as_tensor(w)
@@ -144,13 +174,12 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray,
     grad_w = (g2 @ cols.transpose(0, 2, 1)).reshape((b,) + w.shape)
     grad_x = None
     if need_input:
-        gxp = np.zeros((b, cin, hi + 2 * pad, wi + 2 * pad))
         # tap contribution: grad wrt the window pixel (k,l) of every output position
-        gcols = (w.reshape(cout, -1).T @ g2).reshape(b, cin, kh, kw, ho, wo)
-        for k in range(kh):
-            for l in range(kw):
-                gxp[:, :, k:k + stride * ho:stride, l:l + stride * wo:stride] += gcols[:, :, k, l]
-        grad_x = gxp[:, :, pad:pad + hi, pad:pad + wi].copy()
+        gcols = w.reshape(cout, -1).T @ g2  # [B, Cin*kh*kw, Ho*Wo]
+        size = b * cin * hi * wi
+        index = _col2im_index(b * cin, hi, wi, kh, kw, stride, pad)
+        grad_x = np.bincount(index, weights=gcols.ravel(),
+                             minlength=size + 1)[:size].reshape(b, cin, hi, wi)
     return grad_x, grad_w
 
 

@@ -9,12 +9,13 @@ ordered.
 Training steps and validation run the model on passes of PASS_BAGS bags
 of equal shape (`Model.forward_batch`), not one bag at a time: a bag
 costs a few hundred small numpy calls whatever its size, and a pass
-shares them among its bags. Four bags per pass take most of that gain
-while a step's peak memory stays that of four bags; larger passes gain
-little more per bag, and one pass of 16 is slower than four of four,
-its working set spilling the L2 cache. The model returns per-bag
-gradients and they are added in bag order into zeroed accumulators, so a
-step's loss and gradients equal those of a bag-by-bag loop bit for bit.
+shares them among its bags. Larger passes still run faster per bag,
+but a step's peak memory grows with its pass: four bags per pass keep
+a 16-bag step's peak within 4x a one-bag step's
+(`test_pass_working_set_stays_small`), where passes of 8 or 16 would
+not. The model returns per-bag gradients and they are added in bag
+order into zeroed accumulators, so a step's loss and gradients equal
+those of a bag-by-bag loop bit for bit.
 
 `grad_check` composes the two finite-difference primitives the tests use
 too, `fd_grad` and `rel_err`; a non-finite loss or gradient reads as a

@@ -174,3 +174,32 @@ class TestFarTaps:
             assert v[0, :, 4, 2, 2].all()  # a near tap still reads the image
             for y, x_ in ((far, 1.0), (1.0, far), (far, far)):
                 assert bilinear_sample(x[0, 0], y, x_) == 0.0
+
+
+def offset_grad_per_plane(cache, grad_samples):
+    """Offset gradient with the slopes formed on every plane, then reduced over
+    planes: the reference for the planes-first contraction in sample_backward."""
+    v00, v01, v10, v11 = (cache.corners[:, :, k] for k in range(4))
+    dvdy = (1 - cache.fx) * (v10 - v00) + cache.fx * (v11 - v01)
+    dvdx = (1 - cache.fy) * (v01 - v00) + cache.fy * (v11 - v10)
+    return np.concatenate([(grad_samples * dvdy).sum(axis=1),
+                           (grad_samples * dvdx).sum(axis=1)], axis=1)
+
+
+class TestOffsetGradPlanesFirst:
+    """Reducing over the planes before forming the slopes reorders sums only."""
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_matches_per_plane_slopes(self, b):
+        rng = np.random.default_rng(20 + b)
+        x = rng.standard_normal((b, 4, 6, 7))
+        offsets = rng.uniform(-0.9, 0.9, size=(b, 18, 6, 7))
+        far = rng.choice([-1, 1], size=(b, 18, 3)) * rng.uniform(6, 40, (b, 18, 3))
+        offsets[:, :, 0, :3] = far  # taps far outside the image
+        offsets[:, :, 2:4, 2:5] = rng.integers(-2, 3, size=(b, 18, 2, 3))  # integer taps
+        cache = sample_grid(x, offsets, 3, stride=1, pad=1)
+        g = rng.standard_normal(sample_values(cache).shape)
+        _, grad_off = sample_backward(cache, g)
+        ref = offset_grad_per_plane(cache, g)
+        assert np.abs(ref).max() > 0
+        assert np.abs(grad_off - ref).max() <= 1e-14 * np.abs(ref).max()

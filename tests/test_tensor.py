@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
+from deformgabor import tensor
 from deformgabor.tensor import (conv2d, conv2d_backward, conv2d_naive, dump_csv,
                                 load_container, load_tensor, save_container,
                                 save_tensor)
@@ -24,6 +25,20 @@ def conv_scatter_oracle(x, w, stride=1, pad=0):
                         if r1 == 0 and r2 == 0 and 0 <= oy < ho and 0 <= ox < wo:
                             out[:, oy, ox] += w[:, c, k, l] * x[c, iy, ix]
     return out
+
+
+def col2im_loop(g, x_shape, w, stride, pad):
+    """Input gradient by a tap-by-tap loop of strided adds into a zeroed padded
+    frame, then a crop: the reference for conv2d_backward's col2im."""
+    b, cin, hi, wi = x_shape
+    cout, _, kh, kw = w.shape
+    ho, wo = g.shape[-2:]
+    gcols = (w.reshape(cout, -1).T @ g.reshape(b, cout, ho * wo)).reshape(b, cin, kh, kw, ho, wo)
+    gxp = np.zeros((b, cin, hi + 2 * pad, wi + 2 * pad))
+    for k in range(kh):
+        for l in range(kw):
+            gxp[:, :, k:k + stride * ho:stride, l:l + stride * wo:stride] += gcols[:, :, k, l]
+    return gxp[:, :, pad:pad + hi, pad:pad + wi]
 
 
 class TestNaiveConv:
@@ -90,6 +105,38 @@ class TestFastConv:
         gx, gw = conv2d_backward(g, x, w, stride, pad)
         assert rel_err(gx, fd_grad(loss, x)) < 1e-7
         assert rel_err(gw[0], fd_grad(loss, w)) < 1e-7
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_input_gradient_equals_tap_loop(self, stride, pad, kernel):
+        """The bincount col2im adds each pixel's taps in the loop's order: equal bit for bit."""
+        rng = np.random.default_rng(100 * stride + 10 * pad + kernel)
+        for b in (1, 3):
+            for hi, wi in ((7, 5), (9, 5)):
+                x = rng.standard_normal((b, 3, hi, wi))
+                w = rng.standard_normal((4, 3, kernel, kernel))
+                g = rng.standard_normal(conv2d(x, w, stride, pad).shape)
+                gx, _ = conv2d_backward(g, x, w, stride, pad)
+                assert np.array_equal(gx, col2im_loop(g, x.shape, w, stride, pad)), (b, hi, wi)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 2)])
+    def test_batch_slice_equals_single_bag(self, stride, pad):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 2, 9, 5))
+        w = rng.standard_normal((5, 2, 3, 3))
+        g = rng.standard_normal(conv2d(x, w, stride, pad).shape)
+        gx, gw = conv2d_backward(g, x, w, stride, pad)
+        for b in range(3):
+            gx1, gw1 = conv2d_backward(g[b:b + 1], x[b:b + 1], w, stride, pad)
+            assert np.array_equal(gx[b:b + 1], gx1) and np.array_equal(gw[b:b + 1], gw1)
+
+    def test_col2im_index_is_read_only(self):
+        conv2d_backward(np.ones((2, 1, 4, 4)), np.ones((2, 3, 4, 4)), np.ones((1, 3, 3, 3)), pad=1)
+        index = tensor._col2im_index(6, 4, 4, 3, 3, 1, 1)
+        assert index is tensor._col2im_index(6, 4, 4, 3, 3, 1, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
 
     def test_non_integral_output_rejected(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,13 @@ class TestAdam:
             adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, {}, cfg9(kind="adam"))
 
 
+def assert_live(grads):
+    """Every parameter block has a non-zero gradient entry: on a dead stack (every
+    ReLU off) a finite-difference check passes without testing anything."""
+    dead = [name for name, g in grads.items() if not g.any()]
+    assert not dead, f"all-zero gradients: {dead}"
+
+
 class TestGradCheck:
     def test_linear_map_sanity(self):
         rng = np.random.default_rng(0)
@@ -132,12 +139,14 @@ class TestGradCheck:
     def test_tiny_stack_all_blocks_pass(self):
         cfg = ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=1, H=3)
         model, lag, lo = gradcheck_problem(cfg, seed=0)
+        assert_live(lag()[1])
         report = grad_check(lag, lo, model.params)
         assert max(report.values()) < 1e-5
 
     def test_paper_mode_flags_approximate_blocks(self):
         cfg = ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=2, H=3)
         model, lag, lo = gradcheck_problem(cfg, seed=0, mode="paper")
+        assert_live(lag()[1])
         report = grad_check(lag, lo, model.params)
         # the approximate rule shows up on masks and filters, nowhere else
         assert report["block1.masks"] > 1e-4
@@ -419,6 +428,7 @@ def test_gradcheck_problem_equals_per_image_loop(task, mode):
         for k, g in model.backward(cache, gp[0], mode=mode).items():
             ref[k] += g
     total, grads = loss_and_grads()
+    assert_live(grads)
     assert total == ref_total
     assert grads.keys() == ref.keys()
     for k, g in grads.items():
