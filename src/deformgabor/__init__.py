@@ -18,7 +18,7 @@ from .metrics import accuracy, auc
 from .mil import (PatchProbabilities, bag_prob, class_weights, mil_loss, miml_loss,
                   patch_probs, weighted_mil_loss)
 from .model import Model, ModelConfig, matched_plain_config, total_params
-from .tensor import conv2d, conv2d_naive, load_container, load_tensor, save_container, save_tensor
+from .tensor import conv2d, conv2d_naive, load_container, save_container
 from .train import (OptimizerConfig, adam_step, fd_grad, grad_check, rel_err, sgd_step,
                     train_model)
 

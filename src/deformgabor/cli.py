@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gradcheck, params, train, eval, dump-gabor, make-dataset.
+Subcommands: gradcheck, params, train, eval, dump-gabor.
 All take an optional declarative config file plus repeatable
 `--set section.key=value` overrides. Exit codes: 0 ok, 1 check failed,
 2 config error, 3 numeric failure, 4 shape error.
@@ -16,14 +16,14 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .data import build_bags, deform_transform, gen_bag, salt_noise, write_manifest
+from .data import build_bags, deform_transform, salt_noise
 from .gabor import make_bank
 from .ioutils import save_pgm
 from .metrics import accuracy, auc
 from .mil import save_heatmap
 from .model import (Model, ShapeMismatchError, load_checkpoint,
                     matched_plain_config, param_table, total_params)
-from .tensor import dump_csv, save_tensor
+from .tensor import dump_csv
 from .train import NumericsError, grad_check, gradcheck_problem, train_model
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -35,13 +35,12 @@ def _out_dir(args, cfg: RunConfig) -> str:
     return path
 
 
-def _splits(cfg: RunConfig):
-    spec = cfg.data.lesion_spec()
+def _split(cfg: RunConfig, name: str):
+    """The bags of one split; bags are a pure function of (spec, index), so
+    each split is rebuilt from where it starts in the train, val, test order."""
     d = cfg.data
-    train = build_bags(spec, d.n_train, start_index=0)
-    val = build_bags(spec, d.n_val, start_index=d.n_train)
-    test = build_bags(spec, d.n_test, start_index=d.n_train + d.n_val)
-    return train, val, test
+    start = {"train": 0, "val": d.n_train, "test": d.n_train + d.n_val}[name]
+    return build_bags(d.lesion_spec(), getattr(d, f"n_{name}"), start_index=start)
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
@@ -106,7 +105,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     from .data import AugmentConfig
 
     _check_single_label(cfg)
-    train, val, _ = _splits(cfg)
+    train, val = _split(cfg, "train"), _split(cfg, "val")
     _check_classes("train", train, "the class weighting")
     _check_classes("val", val, "the validation AUC")
     out = _out_dir(args, cfg)
@@ -146,7 +145,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     from .train import evaluate
 
     _check_single_label(cfg)
-    _, _, test = _splits(cfg)
+    test = _split(cfg, "test")
     _check_classes("test", test, "the test AUC")
     out = _out_dir(args, cfg)
     model = Model(cfg.model, np.random.default_rng(cfg.optimizer.seed))
@@ -175,23 +174,6 @@ def cmd_dump_gabor(args, cfg: RunConfig) -> int:
         dump_csv(f"{stem}.csv", bank.filters[u])
         save_pgm(f"{stem}.pgm", bank.filters[u])
     print(f"wrote {bank.U} filters (sigma {bank.sigma:.3f}, lambda {bank.lam:.3f}) to {out}")
-    return 0
-
-
-def cmd_make_dataset(args, cfg: RunConfig) -> int:
-    out = _out_dir(args, cfg)
-    spec = cfg.data.lesion_spec()
-    d = cfg.data
-    n = d.n_train + d.n_val + d.n_test
-    entries = []
-    for i in range(n):
-        img, label, _ = gen_bag(spec, i)
-        entries.append((i, label, d.seed))
-        if args.materialize:
-            save_tensor(os.path.join(out, f"bag_{i:05d}.bin"), img)
-    write_manifest(os.path.join(out, "manifest.csv"), entries)
-    print(f"wrote manifest for {n} bags"
-          + (f" and {n} tensor files" if args.materialize else "") + f" to {out}")
     return 0
 
 
@@ -232,11 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_dump_gabor)
 
-    p = sub.add_parser("make-dataset", help="write the dataset manifest (and optionally images)")
-    common(p)
-    p.add_argument("--materialize", action="store_true",
-                   help="also write each image as a binary tensor file")
-    p.set_defaults(func=cmd_make_dataset)
     return parser
 
 

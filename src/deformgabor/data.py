@@ -12,7 +12,6 @@ Everything is a pure function of (spec, index, seed).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "salt_noise",
     "AugmentConfig",
     "augment",
-    "write_manifest",
 ]
 
 STRIPE_WAVELENGTH = 4.0  # pixels, at generation scale
@@ -176,16 +174,3 @@ def augment(image: np.ndarray, cfg: AugmentConfig = AugmentConfig(), seed: int =
         out = out.copy()
         out[..., top:top + side, left:left + side] = 0.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# Manifests.
-# ---------------------------------------------------------------------------
-
-def write_manifest(path, entries) -> None:
-    """Entries are (index, label, seed) triples."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label", "seed"])
-        for idx, label, seed in entries:
-            writer.writerow([idx, label, seed])

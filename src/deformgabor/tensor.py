@@ -25,6 +25,8 @@ whatever order it needs.
 from __future__ import annotations
 
 import functools
+import math
+import os
 import struct
 
 import numpy as np
@@ -34,8 +36,6 @@ __all__ = [
     "conv2d_naive",
     "conv2d",
     "conv2d_backward",
-    "save_tensor",
-    "load_tensor",
     "save_container",
     "load_container",
     "dump_csv",
@@ -184,8 +184,9 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: little-endian binary, u32 rank + u32 dims + f64 payload.
-# A container is a sequence of (name, tensor) sections behind a magic header.
+# Containers, little-endian binary: magic b"DGT1", u32 section count, then
+# per section a u16 name length, the UTF-8 name, u32 rank, u32 dims and the
+# f64 payload.
 # ---------------------------------------------------------------------------
 
 def _write_tensor(fh, a: np.ndarray) -> None:
@@ -196,28 +197,20 @@ def _write_tensor(fh, a: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise ValueError(f"truncated file: wanted {n} bytes, got {len(raw)}")
-    return raw
+    """Read n bytes, checking first that the file holds them: a length field
+    read from a foreign or damaged file can ask for far more than it has."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"truncated file: wanted {n} bytes, {left} are left")
+    return fh.read(n)
 
 
 def _read_tensor(fh) -> np.ndarray:
     (rank,) = struct.unpack("<I", _read_exact(fh, 4))
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-    n = int(np.prod(dims))
-    payload = _read_exact(fh, 8 * n)
+    # Python ints: the product of u32 dims can overflow np.prod's int64
+    payload = _read_exact(fh, 8 * math.prod(dims))
     return np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-
-
-def save_tensor(path, a: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        _write_tensor(fh, a)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return _read_tensor(fh)
 
 
 def save_container(path, sections: dict) -> None:

@@ -408,6 +408,6 @@ def train_model(model: Model, train_bags, val_bags, cfg: OptimizerConfig,
         with open(os.path.join(out_dir, "train_log.csv"), "w") as fh:
             fh.write("epoch,train_loss,val_loss,val_auc\n")
             for row in history:
-                fh.write(f"{row['epoch']},{row['train_loss']!r},"
-                         f"{row['val_loss']!r},{row['val_auc']!r}\n")
+                fh.write(f"{row['epoch']},{float(row['train_loss'])!r},"
+                         f"{float(row['val_loss'])!r},{float(row['val_auc'])!r}\n")
     return history

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from deformgabor.cli import main
 from deformgabor.config import ConfigError, DataConfig, RunConfig, RunSettings, parse_config
+from deformgabor.data import build_bags
 from deformgabor.model import ModelConfig
 from deformgabor.train import OptimizerConfig
 
@@ -275,6 +277,33 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("shape error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("dims", [(2 ** 32 - 1, 2 ** 32 - 1), (3, 1000)])
+    def test_eval_oversized_section_exit_code(self, dims, tmp_path, capsys):
+        ckpt = tmp_path / "foreign.ckpt"
+        ckpt.write_bytes(b"DGT1" + struct.pack("<IH", 1, 1) + b"a"
+                         + struct.pack("<3I", 2, *dims) + bytes(8))
+        assert main(["eval", "--output", str(tmp_path), "--checkpoint", str(ckpt)] + FAST) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("shape error: cannot read checkpoint") and err.count("\n") == 1, err
+        assert f"wanted {8 * dims[0] * dims[1]} bytes, 8 are left" in err
+
+    def test_each_command_builds_only_the_splits_it_reads(self, tmp_path, monkeypatch):
+        from deformgabor import cli
+
+        calls = []
+
+        def recording(spec, n, start_index=0):
+            calls.append((n, start_index))
+            return build_bags(spec, n, start_index=start_index)
+
+        monkeypatch.setattr(cli, "build_bags", recording)
+        out = str(tmp_path / "run")
+        assert main(["train", "--output", out] + FAST + ["--set", "optimizer.epochs=0"]) == 0
+        assert calls == [(12, 0), (8, 12)]  # n_train from 0, n_val after it
+        calls.clear()
+        assert main(["eval", "--output", out, "--checkpoint", f"{out}/initial.ckpt"] + FAST) == 0
+        assert calls == [(8, 20)]  # n_test after both
+
     def test_eval_missing_checkpoint_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.ckpt"
         assert main(["eval", "--output", str(tmp_path), "--checkpoint", str(missing)] + FAST) == 4
@@ -306,17 +335,6 @@ class TestCLI:
             assert tokens[:4] == ["P2", "5", "5", "255"]  # magic, width, height, maxval
             assert len(tokens) == 4 + 5 * 5
 
-    def test_make_dataset(self, tmp_path):
-        assert main(["make-dataset", "--output", str(tmp_path), "--materialize",
-                     "--set", "data.n_train=4", "--set", "data.n_val=2",
-                     "--set", "data.n_test=2", "--set", "data.image_size=8",
-                     "--set", "data.radius_min=2", "--set", "data.radius_max=3"]) == 0
-        lines = (tmp_path / "manifest.csv").read_text().splitlines()
-        assert lines[0] == "index,label,seed"
-        assert len(lines) == 1 + 8
-        assert all(line.split(",")[2] == "0" for line in lines[1:])
-        assert (tmp_path / "bag_00000.bin").exists()
-
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # the bounded bag loss cannot go non-finite from a config alone, so the
         # wiring is checked by making the training loop report the failure
@@ -336,8 +354,14 @@ class TestCLI:
         assert (tmp_path / "envroot" / "gabor_u0.pgm").exists()
 
     def test_help_for_every_command(self, capsys):
-        for cmd in ("gradcheck", "params", "train", "eval", "dump-gabor", "make-dataset"):
+        for cmd in ("gradcheck", "params", "train", "eval", "dump-gabor"):
             with pytest.raises(SystemExit) as exc:
                 main([cmd, "--help"])
             assert exc.value.code == 0
             assert "usage" in capsys.readouterr().out
+
+    def test_unknown_command_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["make-dataset"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'make-dataset'" in capsys.readouterr().err

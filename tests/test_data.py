@@ -3,7 +3,7 @@ import pytest
 
 from deformgabor.data import (AugmentConfig, SynthLesionSpec, augment,
                               build_bags, deform_transform, gen_bag,
-                              salt_noise, write_manifest)
+                              salt_noise)
 
 
 class TestGenBag:
@@ -124,11 +124,3 @@ class TestAugment:
         out = augment(img, AugmentConfig(), seed=13)
         assert np.isfinite(out).all()
         assert out.min() >= 0.0 and out.max() <= 1.0 + 1e-12
-
-
-class TestManifestAndIngestion:
-    def test_manifest_roundtrip(self, tmp_path):
-        entries = [(0, 1, 42), (1, 0, 42), (2, 1, 43)]
-        p = tmp_path / "manifest.csv"
-        write_manifest(p, entries)
-        assert p.read_text().splitlines() == ["index,label,seed", "0,1,42", "1,0,42", "2,1,43"]

@@ -1,11 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
 from deformgabor import tensor
 from deformgabor.tensor import (conv2d, conv2d_backward, conv2d_naive, dump_csv,
-                                load_container, load_tensor, save_container,
-                                save_tensor)
+                                load_container, save_container)
 
 
 def conv_scatter_oracle(x, w, stride=1, pad=0):
@@ -152,23 +153,20 @@ class TestFastConv:
 
 
 class TestSerialization:
-    def test_tensor_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((3, 2, 4))
-        p = tmp_path / "t.bin"
-        save_tensor(p, a)
-        np.testing.assert_array_equal(load_tensor(p), a)
-
     def test_binary_layout(self, tmp_path):
-        a = np.array([[1.0, 2.0]])
-        p = tmp_path / "t.bin"
-        save_tensor(p, a)
+        p = tmp_path / "c.bin"
+        save_container(p, {"ab": np.array([[1.0, 2.0]])})
         raw = p.read_bytes()
-        # u32 rank, u32 dims, f64 payload, little endian
-        assert raw[:4] == (2).to_bytes(4, "little")
+        # little endian: magic, u32 section count, then per section u16 name
+        # length, name bytes, u32 rank, u32 dims and the f64 payload
+        assert raw[:4] == b"DGT1"
         assert raw[4:8] == (1).to_bytes(4, "little")
-        assert raw[8:12] == (2).to_bytes(4, "little")
-        assert np.frombuffer(raw[12:], dtype="<f8").tolist() == [1.0, 2.0]
+        assert raw[8:10] == (2).to_bytes(2, "little")
+        assert raw[10:12] == b"ab"
+        assert raw[12:16] == (2).to_bytes(4, "little")
+        assert raw[16:20] == (1).to_bytes(4, "little")
+        assert raw[20:24] == (2).to_bytes(4, "little")
+        assert np.frombuffer(raw[24:], dtype="<f8").tolist() == [1.0, 2.0]
 
     def test_container_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -192,6 +190,15 @@ class TestSerialization:
                 load_container(cut)
         cut.write_bytes(raw)
         assert set(load_container(cut)) == {"a", "bb"}
+
+    @pytest.mark.parametrize("dims", [(2 ** 32 - 1, 2 ** 32 - 1), (3, 1000)])
+    def test_section_larger_than_file_raises_before_reading(self, tmp_path, dims):
+        # the first product overflows int64; the second fits but exceeds the file
+        p = tmp_path / "c.bin"
+        p.write_bytes(b"DGT1" + struct.pack("<IH", 1, 1) + b"a"
+                      + struct.pack("<3I", 2, *dims) + bytes(8))
+        with pytest.raises(ValueError, match=f"wanted {8 * dims[0] * dims[1]} bytes, 8 are left"):
+            load_container(p)
 
     def test_csv_roundtrip(self, tmp_path):
         a = np.array([[1.5, -2.25], [0.0, 3.125]])

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -179,11 +180,16 @@ class TestTrainingLoop:
             model = Model(ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=1),
                           np.random.default_rng(5))
             bags = tiny_dataset(12, seed=3)
-            train_model(model, bags[:8], bags[8:],
-                        cfg9(kind="adam", lr_filters=0.01, lr_masks=0.01, epochs=3),
-                        out_dir=str(tmp_path / run))
+            history = train_model(model, bags[:8], bags[8:],
+                                  cfg9(kind="adam", lr_filters=0.01, lr_masks=0.01, epochs=3),
+                                  out_dir=str(tmp_path / run))
             logs.append((tmp_path / run / "train_log.csv").read_bytes())
         assert logs[0] == logs[1]
+        # and the log reads back as the history it was written from, exactly
+        rows = list(csv.DictReader(logs[1].decode().splitlines()))
+        assert [int(r["epoch"]) for r in rows] == [h["epoch"] for h in history]
+        for key in ("train_loss", "val_loss", "val_auc"):
+            assert [float(r[key]) for r in rows] == [h[key] for h in history], key
 
     def test_frozen_masks_with_zero_mask_rate(self):
         model = Model(ModelConfig(widths=(2, 2), plain_blocks=1, U=2, V=2),
@@ -383,7 +389,8 @@ def test_pass_working_set_stays_small():
         finally:
             tracemalloc.stop()
 
-    peak(16)  # warm caches
+    peak(16)  # warm caches, the col2im indices of a full pass among them
+    peak(1)  # and of a one-bag pass
     one, sixteen = peak(1), peak(16)
     assert sixteen <= 4 * one, (one, sixteen)
 
